@@ -24,7 +24,8 @@ import hashlib
 import os
 
 from repro.chaos.faults import CacheFaults, FaultEvent, FaultPlan
-from repro.runner.diskcache import _SUFFIX, DiskCache, encode_entry
+from repro.runner.diskcache import DiskCache
+from repro.util.recordlog import frame
 
 __all__ = ["ChaosDiskCache", "corrupt_blob", "corrupt_cache_dir"]
 
@@ -45,11 +46,9 @@ def corrupt_blob(data: bytes, kind: str, *, salt: str = "") -> bytes:
         pos = int(_u(0, "flip", salt, len(data)) * len(data))
         return data[:pos] + bytes([data[pos] ^ 0x01]) + data[pos + 1 :]
     if kind == "stale":
-        # Re-frame the payload with a checksum for a *different* key:
-        # structurally valid, semantically someone else's entry.
-        header = 4 + 16  # magic + digest
-        payload = data[header:] if len(data) > header else data
-        return encode_entry(f"stale-{salt}", payload)
+        # Re-frame the file under a *different* key: structurally
+        # valid, semantically someone else's entry.
+        return frame(f"stale-{salt}", data)
     raise ValueError(f"unknown corruption kind: {kind!r}")
 
 
@@ -106,13 +105,9 @@ def corrupt_cache_dir(
     and the chaos driver reproduce the exact same wreckage every time.
     """
     victims: list[str] = []
-    try:
-        files = sorted(
-            f for f in os.listdir(root) if f.endswith(_SUFFIX)
-        )
-    except OSError:
+    if not os.path.isdir(root):
         return victims
-    for name in files:
+    for name in DiskCache(root).files():
         if _u(seed, "pick", name) >= fraction:
             continue
         kind = kinds[int(_u(seed, "kind", name) * len(kinds))]

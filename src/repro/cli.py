@@ -475,7 +475,6 @@ def _cmd_fuzz(args: argparse.Namespace):
         print(
             f"sigstore: {len(merge.new)} behavior(s) never seen before, "
             f"{merge.known} already known, {merge.total} total ever"
-            + (" (compacted)" if merge.compacted else "")
         )
     if args.promote_dir:
         from repro.fuzz.sigstore import promote_survivors

@@ -4,17 +4,12 @@ A single fuzz run already dedups behaviors internally — the report's
 ``coverage.signatures`` set answers "new behavior *this run*".  Long
 campaigns want the stronger question: "new behavior *ever*", across
 nightly runs, reseeds and concurrent shards.  :class:`SignatureStore`
-answers it with a tiny persisted set: an append-only file of
-JSON-framed signature strings, merged under an advisory file lock so
-concurrent shards (or a fuzz run racing a chaos soak) never lose
-updates.
-
-The file is append-mostly: a merge appends only the never-seen
-signatures (one durable :func:`~repro.util.io.append_bytes` call).
-Reads tolerate dirt — torn tails from a crash mid-append, blank lines,
-duplicates from a pre-lock race — and any dirt triggers an atomic
-compaction (sorted, unique, rewritten via
-:func:`~repro.util.io.atomic_write_text`) on the next locked merge.
+answers it with a tiny persisted set: a
+:class:`~repro.util.recordlog.RecordLog` with one frame per signature,
+merged under the log's advisory lock so concurrent shards (or a fuzz
+run racing a chaos soak) never lose updates or write duplicates.  A
+merge recovers the log (dropping any torn tail a crash left), then
+appends only the never-seen signatures in one durable append.
 
 :func:`promote_survivors` closes the fuzz→corpus loop: minimized
 oracle-failing repros whose canonical case is not already pinned in
@@ -25,25 +20,24 @@ for human review and check-in.
 
 from __future__ import annotations
 
-import json
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 from repro.obs.metrics import registry
-from repro.util.io import append_bytes, atomic_write_text
-
-try:  # advisory locking is POSIX-only; degrade to lockless elsewhere
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None  # type: ignore[assignment]
+from repro.util.recordlog import RecordLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fuzz.campaign import FuzzReport
 
 __all__ = ["SignatureStore", "SigstoreMerge", "promote_survivors"]
+
+
+#: Store format version; version 1 was unframed JSON lines.
+SIGSTORE_VERSION = 2
+
+_FORMAT = "signature store"
 
 
 @dataclass(frozen=True)
@@ -53,90 +47,31 @@ class SigstoreMerge:
     new: tuple[str, ...]  #: signatures never seen in any prior run
     known: int  #: incoming signatures the store already held
     total: int  #: store size after the merge
-    compacted: bool  #: True when dirt forced an atomic rewrite
 
 
 class SignatureStore:
-    """Advisory-locked, append-mostly set of behavior signatures."""
+    """Advisory-locked, append-only set of behavior signatures."""
 
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = str(path)
+        # One store per file, so the format is its own owner.
+        self._log = RecordLog(self.path, _FORMAT, SIGSTORE_VERSION, _FORMAT)
 
-    @contextmanager
-    def _locked(self) -> Iterator[None]:
-        """Hold an exclusive advisory lock on the ``.lock`` sidecar.
-
-        The sidecar (not the store itself) is locked so compaction's
-        rename never swaps the inode a peer is flocked on.
-        """
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        if fcntl is None:  # pragma: no cover - non-POSIX platforms
-            yield
-            return
-        with open(self.path + ".lock", "a") as lock:
-            fcntl.flock(lock.fileno(), fcntl.LOCK_EX)
-            try:
-                yield
-            finally:
-                fcntl.flock(lock.fileno(), fcntl.LOCK_UN)
-
-    def _read(self) -> tuple[set[str], bool]:
-        """All intact signatures, plus whether the file needs compaction."""
-        try:
-            raw = Path(self.path).read_bytes()
-        except OSError:
-            return set(), False
-        known: set[str] = set()
-        dirty = False
-        if raw and not raw.endswith(b"\n"):
-            dirty = True  # torn tail from a crash mid-append
-        for line in raw.split(b"\n"):
-            if not line:
-                continue
-            try:
-                sig = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError):
-                dirty = True
-                continue
-            if not isinstance(sig, str):
-                dirty = True
-                continue
-            if sig in known:
-                dirty = True  # duplicate from a pre-lock race
-                continue
-            known.add(sig)
-        return known, dirty
+    def _read(self, *, truncate: bool) -> set[str]:
+        return {b.decode() for b in self._log.scan(truncate=truncate).records}
 
     def load(self) -> frozenset[str]:
         """Every signature ever recorded (read-only, lock-free)."""
-        known, _dirty = self._read()
-        return frozenset(known)
+        return frozenset(self._read(truncate=False))
 
     def merge(self, signatures: Iterable[str]) -> SigstoreMerge:
-        """Record ``signatures``; report which were new *ever*.
-
-        Appends only the never-seen signatures; any dirt found while
-        reading (torn tail, duplicates, unparseable lines) triggers a
-        full atomic compaction instead, so the store self-heals on the
-        next merge after a crash.
-        """
+        """Record ``signatures``; report which were new *ever*."""
         incoming = sorted(set(signatures))
-        with self._locked():
-            known, dirty = self._read()
+        with self._log.locked():
+            known = self._read(truncate=True)
             new = tuple(s for s in incoming if s not in known)
-            merged = known.union(new)
-            if dirty:
-                atomic_write_text(
-                    self.path,
-                    "".join(json.dumps(s) + "\n" for s in sorted(merged)),
-                )
-                registry().counter("sigstore.compactions").inc()
-            elif new:
-                append_bytes(
-                    self.path,
-                    "".join(json.dumps(s) + "\n" for s in new).encode(),
-                )
+            if new:
+                self._log.append(s.encode() for s in new)
         reg = registry()
         if new:
             reg.counter("sigstore.new").inc(len(new))
@@ -144,21 +79,8 @@ class SignatureStore:
         if known_count:
             reg.counter("sigstore.known").inc(known_count)
         return SigstoreMerge(
-            new=new,
-            known=known_count,
-            total=len(merged),
-            compacted=dirty,
+            new=new, known=known_count, total=len(known) + len(new)
         )
-
-    def compact(self) -> int:
-        """Rewrite the store sorted and unique; return its size."""
-        with self._locked():
-            known, _dirty = self._read()
-            atomic_write_text(
-                self.path,
-                "".join(json.dumps(s) + "\n" for s in sorted(known)),
-            )
-        return len(known)
 
 
 def promote_survivors(

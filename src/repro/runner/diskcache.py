@@ -15,10 +15,11 @@ memory); ``put`` writes through to both.  A campaign worker holding a
 worker and with past runs — a warm re-run of ``run_table1`` executes
 zero scheduler passes even in a cold-started process.
 
-Durability: the cache is *self-healing*.  Every file carries a magic
-tag plus a keyed blake2b checksum over (key, payload); ``get`` verifies
-both before unpickling, so a truncated write, a flipped bit, or a file
-copied under the wrong key (stale key) is detected, **quarantined**
+Durability: the cache is *self-healing*.  Every file is one
+:func:`repro.util.recordlog.frame` whose checksum context is the cache
+key; ``get`` verifies it before unpickling, so a truncated write, a
+flipped bit, or a file copied under the wrong key (stale key) is
+detected, **quarantined**
 (moved into ``<root>/_quarantine/``, counted in ``corrupt_evictions``)
 and reported as a plain miss — a campaign over a trashed cache
 directory recomputes and overwrites, it never crashes.  Writes go
@@ -29,34 +30,18 @@ stale temp file, never a half-entry under a live key.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import pickle
 import tempfile
 
 from repro.pipeline.cache import ArtifactCache, CacheEntry
 from repro.util.io import atomic_write_bytes
+from repro.util.recordlog import frame, unframe
 
 __all__ = ["DiskCache", "TieredCache"]
 
 _SUFFIX = ".pkl"
-_MAGIC = b"RDC1"
-_DIGEST_SIZE = 16
 _QUARANTINE = "_quarantine"
-
-
-def _checksum(key: str, blob: bytes) -> bytes:
-    """Digest binding the payload to its key, so a valid file served
-    under the wrong key still fails verification."""
-    h = hashlib.blake2b(digest_size=_DIGEST_SIZE)
-    h.update(key.encode())
-    h.update(blob)
-    return h.digest()
-
-
-def encode_entry(key: str, blob: bytes) -> bytes:
-    """The on-disk framing: magic + checksum(key, payload) + payload."""
-    return _MAGIC + _checksum(key, blob) + blob
 
 
 class DiskCache:
@@ -80,13 +65,17 @@ class DiskCache:
     def _path(self, key: str) -> str:
         return os.path.join(self.root, key + _SUFFIX)
 
-    def __len__(self) -> int:
+    def files(self) -> list[str]:
+        """Names of the entry files under the root, sorted."""
         try:
-            return sum(
-                1 for f in os.listdir(self.root) if f.endswith(_SUFFIX)
+            return sorted(
+                f for f in os.listdir(self.root) if f.endswith(_SUFFIX)
             )
         except OSError:
-            return 0
+            return []
+
+    def __len__(self) -> int:
+        return len(self.files())
 
     # ------------------------------------------------------------------
     def _quarantine(self, key: str, reason: str) -> None:
@@ -106,16 +95,6 @@ class DiskCache:
             # file vanished), the next put overwrites the key anyway.
             pass
 
-    def _verify(self, key: str, data: bytes) -> bytes | None:
-        """Payload bytes if the framing and checksum hold, else None."""
-        header = len(_MAGIC) + _DIGEST_SIZE
-        if len(data) < header or not data.startswith(_MAGIC):
-            return None
-        blob = data[header:]
-        if data[len(_MAGIC):header] != _checksum(key, blob):
-            return None
-        return blob
-
     def quarantined(self) -> list[str]:
         """Files currently sitting in the quarantine directory."""
         try:
@@ -131,7 +110,7 @@ class DiskCache:
         except OSError:
             self.misses += 1
             return None
-        blob = self._verify(key, data)
+        blob = unframe(key, data)
         if blob is None:
             self._quarantine(key, "checksum")
             self.misses += 1
@@ -156,17 +135,16 @@ class DiskCache:
             self.put_errors += 1
             return
         try:
-            atomic_write_bytes(self._path(key), encode_entry(key, blob))
+            atomic_write_bytes(self._path(key), frame(key, blob))
         except OSError:
             self.put_errors += 1
 
     def clear(self) -> None:
-        for f in os.listdir(self.root):
-            if f.endswith(_SUFFIX):
-                try:
-                    os.unlink(os.path.join(self.root, f))
-                except OSError:
-                    pass
+        for f in self.files():
+            try:
+                os.unlink(os.path.join(self.root, f))
+            except OSError:
+                pass
         self.hits = 0
         self.misses = 0
         self.put_errors = 0

@@ -12,24 +12,20 @@ journaled cells re-enter the merge as finished results — flagged
 report byte-identical to an uninterrupted run (the order-based merge
 guarantees the rest).
 
-Format: a line-oriented append-only log.  Every line is
-``<blake2b-hex> <canonical-json>\\n``; record checksums are keyed by
-the *campaign key* (a digest of every cell id in the campaign), so a
-record is only ever replayed into the exact campaign that wrote it —
-the issue's ``blake2b over (cell_id, chain_key, payload)`` binding.
-The first line is a header checksummed under a fixed context instead,
-so pointing a campaign at another campaign's journal is a clean
-:class:`~repro.errors.ReproError`, never a silent truncation.
+Format: a :class:`~repro.util.recordlog.RecordLog` owned by the
+*campaign key* (a digest of every cell id in the campaign), one
+canonical-JSON ``{"cell": ..., "payload": ...}`` frame per completed
+cell.  Record checksums are keyed by the campaign key, so a record is
+only ever replayed into the exact campaign that wrote it — the
+``blake2b over (cell_id, chain_key, payload)`` binding — and pointing
+a campaign at another campaign's journal, an older journal version or
+any other file is a clean :class:`~repro.errors.ReproError`, never a
+silent truncation.
 
-Durability: records are appended via
-:func:`repro.util.io.append_bytes` (flush + fsync per record); a crash
-mid-append leaves at most a *torn tail*.  Recovery scans from the top
-and stops at the first truncated or corrupt line, truncating the file
-back to the intact prefix and counting ``journal.torn_tail`` — every
-record before the tear is kept, everything after it is re-executed.
-Recovery rewinds are in-place ``os.truncate`` calls to a known-good
-byte offset; all other artifact writes stay on the
-:mod:`repro.util.io` atomic helpers.
+Durability: each record is flushed and fsynced as it is appended; a
+crash mid-append leaves at most a *torn tail*.  Recovery keeps every
+record before the tear, truncates the rest (counting
+``journal.torn_tail``) and re-executes those cells.
 """
 
 from __future__ import annotations
@@ -40,8 +36,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
-from repro.errors import ReproError
 from repro.obs.metrics import registry
+from repro.util.recordlog import RecordLog
 
 __all__ = [
     "CellJournal",
@@ -51,10 +47,9 @@ __all__ = [
 ]
 
 #: Journal format version; bumped on any incompatible framing change.
-JOURNAL_VERSION = 1
+JOURNAL_VERSION = 2
 
-_DIGEST_SIZE = 16  # 32 hex chars
-_HEADER_CONTEXT = "repro-journal-header"
+_FORMAT = "campaign journal"
 
 
 def campaign_key(cells: Iterable[Any]) -> str:
@@ -66,7 +61,7 @@ def campaign_key(cells: Iterable[Any]) -> str:
     shard of one campaign shares the key (each shard keeps its own
     journal *file*, see :func:`journal_filename`).
     """
-    h = hashlib.blake2b(digest_size=_DIGEST_SIZE)
+    h = hashlib.blake2b(digest_size=16)
     for cell in cells:
         h.update(cell.cell_id.encode())
         h.update(b"\n")
@@ -80,21 +75,13 @@ def journal_filename(shard: tuple[int, int] | None) -> str:
     return f"cells-{shard[0]}-of-{shard[1]}.journal"
 
 
-def _digest(context: str, body: str) -> str:
-    h = hashlib.blake2b(digest_size=_DIGEST_SIZE)
-    h.update(context.encode())
-    h.update(b"\x00")
-    h.update(body.encode())
-    return h.hexdigest()
-
-
 @dataclass(frozen=True)
 class JournalRecovery:
     """What a journal scan found (and, on recovery, kept)."""
 
     payloads: dict[str, Mapping[str, Any]] = field(default_factory=dict)
-    records: int = 0  #: intact record lines (payloads dedup: last wins)
-    torn_tail: int = 0  #: 1 when the scan stopped at a corrupt/torn line
+    records: int = 0  #: intact records (payloads dedup: last wins)
+    torn_tail: int = 0  #: 1 when the scan stopped at a corrupt/torn record
     truncated_bytes: int = 0  #: bytes dropped by recovery truncation
 
 
@@ -110,6 +97,7 @@ class CellJournal:
     def __init__(self, path: str, campaign: str) -> None:
         self.path = path
         self.campaign = campaign
+        self._log = RecordLog(path, _FORMAT, JOURNAL_VERSION, campaign)
 
     @classmethod
     def open(
@@ -121,105 +109,31 @@ class CellJournal:
         os.makedirs(journal_dir, exist_ok=True)
         return cls(os.path.join(journal_dir, journal_filename(shard)), campaign)
 
-    # ------------------------------------------------------------------
-    # reading
-    # ------------------------------------------------------------------
-    def _parse_line(self, line: bytes, first: bool) -> dict | None:
-        """The verified body of one line, or None if corrupt."""
-        try:
-            text = line.decode("utf-8")
-        except UnicodeDecodeError:
-            return None
-        checksum, sep, body = text.partition(" ")
-        if not sep or len(checksum) != 2 * _DIGEST_SIZE:
-            return None
-        context = _HEADER_CONTEXT if first else self.campaign
-        if _digest(context, body) != checksum:
-            return None
-        try:
-            parsed = json.loads(body)
-        except ValueError:
-            return None
-        return parsed if isinstance(parsed, dict) else None
-
     def scan(self, *, truncate: bool) -> JournalRecovery:
         """Read every intact record; optionally truncate the torn tail.
 
-        Stops at the first truncated or corrupt line.  With
-        ``truncate=True`` (the recovery path) the file is rewound to
-        the intact prefix so subsequent appends continue from a clean
-        boundary; ``truncate=False`` is the read-only probe used by
-        progress monitors.  Raises :class:`ReproError` when the header
-        names a different campaign or an unknown journal version.
+        ``truncate=True`` is the recovery path; ``truncate=False`` is
+        the read-only probe used by progress monitors.  Raises
+        :class:`~repro.errors.ReproError` when the file is not this
+        campaign's journal at this version.
         """
-        try:
-            with open(self.path, "rb") as fh:
-                raw = fh.read()
-        except OSError:
-            return JournalRecovery()
-
+        scan = self._log.scan(truncate=truncate)
         payloads: dict[str, Mapping[str, Any]] = {}
-        records = 0
-        torn = 0
-        pos = 0
-        good = 0
-        while pos < len(raw):
-            nl = raw.find(b"\n", pos)
-            if nl < 0:
-                torn = 1
-                break
-            body = self._parse_line(raw[pos:nl], first=pos == 0)
-            if body is None:
-                torn = 1
-                break
-            if pos == 0:
-                version = body.get("journal")
-                if version != JOURNAL_VERSION:
-                    raise ReproError(
-                        f"journal {self.path}: unsupported version "
-                        f"{version!r} (this build writes version "
-                        f"{JOURNAL_VERSION})"
-                    )
-                if body.get("campaign") != self.campaign:
-                    raise ReproError(
-                        f"journal {self.path} belongs to a different "
-                        f"campaign (journal key {body.get('campaign')!r}, "
-                        f"this campaign {self.campaign!r}); refusing to "
-                        "resume from it"
-                    )
-            else:
-                cell = body.get("cell")
-                payload = body.get("payload")
-                if not isinstance(cell, str) or not isinstance(
-                    payload, Mapping
-                ):
-                    torn = 1
-                    break
-                payloads[cell] = payload
-                records += 1
-            pos = nl + 1
-            good = pos
-        dropped = len(raw) - good
-        if torn and truncate:
-            os.truncate(self.path, good)
+        for body in scan.records:
+            record = json.loads(body)
+            payloads[record["cell"]] = record["payload"]
+        if scan.torn and truncate:
             registry().counter("journal.torn_tail").inc()
         return JournalRecovery(
             payloads=payloads,
-            records=records,
-            torn_tail=torn,
-            truncated_bytes=dropped if torn else 0,
+            records=len(scan.records),
+            torn_tail=int(scan.torn),
+            truncated_bytes=scan.dropped,
         )
 
     def recover(self) -> JournalRecovery:
         """Scan for resume: keep the intact prefix, drop the torn tail."""
         return self.scan(truncate=True)
-
-    # ------------------------------------------------------------------
-    # writing
-    # ------------------------------------------------------------------
-    def _line(self, context: str, body: Mapping[str, Any]) -> bytes:
-        text = json.dumps(body, sort_keys=True, separators=(",", ":"))
-        return f"{_digest(context, text)} {text}\n".encode()
 
     def append(self, cell_id: str, payload: Mapping[str, Any]) -> None:
         """Durably journal one completed cell (flush + fsync).
@@ -229,20 +143,10 @@ class CellJournal:
         only re-deliver the cell, never lose it.  The payload must be
         plain JSON data — which completed cell values already are.
         """
-        from repro.util.io import append_bytes
-
-        header = b""
-        try:
-            empty = os.path.getsize(self.path) == 0
-        except OSError:
-            empty = True
-        if empty:
-            header = self._line(
-                _HEADER_CONTEXT,
-                {"journal": JOURNAL_VERSION, "campaign": self.campaign},
-            )
-        record = self._line(
-            self.campaign, {"cell": cell_id, "payload": dict(payload)}
+        body = json.dumps(
+            {"cell": cell_id, "payload": dict(payload)},
+            sort_keys=True,
+            separators=(",", ":"),
         )
-        append_bytes(self.path, header + record)
+        self._log.append([body.encode()])
         registry().counter("journal.records").inc()

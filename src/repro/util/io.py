@@ -6,11 +6,11 @@ cache entries) imported one of the two copies.  This module is the
 single implementation; both layers plus the serve daemon's
 response/artifact writes go through it.
 
-:func:`append_bytes` is the durability primitive for *append-only*
-files (the runner's write-ahead cell journal, the fuzz signature
-store): a whole-file atomic rewrite would be O(file) per record, so
-appends instead flush+fsync each record and rely on the reader to
-recognise — and discard — a torn tail left by a crash mid-append.
+:func:`append_bytes` is the durability primitive under
+:mod:`repro.util.recordlog`'s append-only logs: a whole-file atomic
+rewrite would be O(file) per record, so appends instead flush+fsync
+each record and rely on the log's recovery scan to discard a torn
+tail left by a crash mid-append.
 """
 
 from __future__ import annotations
@@ -53,18 +53,16 @@ def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def append_bytes(path: str, data: bytes, *, fsync: bool = True) -> None:
-    """Append ``data`` to ``path`` durably (flush + fsync by default).
+def append_bytes(path: str, data: bytes) -> None:
+    """Append ``data`` to ``path`` durably (flush + fsync).
 
     Unlike the atomic writers this is *not* torn-proof — a crash
     mid-append can leave a partial record at the end of the file.  It
-    is meant for checksummed, record-framed append-only logs whose
-    readers detect and drop such a tail (see
-    :mod:`repro.runner.journal`); in exchange an append costs O(record)
-    instead of O(file).
+    is meant for :class:`repro.util.recordlog.RecordLog`, whose scan
+    detects and drops such a tail; in exchange an append costs
+    O(record) instead of O(file).
     """
     with open(path, "ab") as fh:
         fh.write(data)
         fh.flush()
-        if fsync:
-            os.fsync(fh.fileno())
+        os.fsync(fh.fileno())

@@ -69,11 +69,11 @@ class TestQuarantine:
         assert quarantined[0].startswith(f"{KEY}.checksum.")
 
     def test_checksummed_but_unpicklable_quarantined(self, tmp_path):
-        from repro.runner.diskcache import encode_entry
+        from repro.util.recordlog import frame
 
         c = DiskCache(str(tmp_path))
         with open(c._path(KEY), "wb") as fh:
-            fh.write(encode_entry(KEY, b"\x80\x04 definitely not pickle"))
+            fh.write(frame(KEY, b"\x80\x04 definitely not pickle"))
         assert c.get(KEY) is None
         assert c.quarantined()[0].startswith(f"{KEY}.unpickle.")
 
