@@ -13,8 +13,11 @@ Failure semantics (per cell):
   home as a failed payload — it never tears down the pool;
 * a worker *crash* (``BrokenProcessPool``) or a cell exceeding
   ``cell_timeout`` abandons the current pool — surviving results are
-  kept, the hung/crashed workers are killed, and the unfinished cells
-  are resubmitted to a fresh pool;
+  kept and the hung/crashed workers are killed.  Only a cell a worker
+  had begun can have broken the pool: each such cell is re-run alone,
+  so the crash or hang is charged to the cell that caused it, and the
+  cells that never started are resubmitted to a fresh pool within the
+  same attempt;
 * every cell gets at most ``1 + retries`` attempts; cells still
   failing land in :attr:`CampaignResult.failed_cells` and the campaign
   returns a *partial* result instead of raising.
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import hashlib
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -274,8 +278,26 @@ def _install_tiered_cache(cache_dir: str | None) -> None:
         set_default_cache(TieredCache(DiskCache(cache_dir)))
 
 
-def _worker_init(cache_dir: str | None) -> None:  # pragma: no cover - subprocess
+# Per-pool flags, one byte per cell index, set when a worker begins a
+# cell; lets the parent tell the cells that may have broken a pool from
+# the ones that never ran in it.
+_STARTED: Any = None
+
+
+def _worker_init(
+    cache_dir: str | None, started: Any = None
+) -> None:  # pragma: no cover - subprocess
+    global _STARTED
+    _STARTED = started
     _install_tiered_cache(cache_dir)
+
+
+def _pool_task(
+    index: int, cell: Cell, trace: bool = False
+) -> dict[str, Any]:  # pragma: no cover - subprocess
+    if _STARTED is not None:
+        _STARTED[index] = 1
+    return _cell_task(cell, trace)
 
 
 def _cell_task(cell: Cell, trace: bool = False) -> dict[str, Any]:
@@ -379,38 +401,36 @@ def _abandon_pool(ex: ProcessPoolExecutor) -> None:
     ex.shutdown(wait=True, cancel_futures=True)
 
 
-def _parallel_wave(
+def _pool_round(
     cells: Sequence[Cell],
     indices: Sequence[int],
     workers: int,
     cache_dir: str | None,
     cell_timeout: float | None,
-    trace: bool = False,
-    on_payload: Any = None,
-) -> tuple[dict[int, dict[str, Any]], dict[int, str]]:
-    """One submission wave. Returns (payloads by index, unfinished).
+    trace: bool,
+    collected: Any,
+) -> tuple[dict[int, str], dict[int, str], set[int]]:
+    """Run ``indices`` in one fresh pool, passing each payload to
+    ``collected(index, payload)`` as it arrives.
 
-    ``on_payload(index, payload)`` fires as each result is collected in
-    the parent — the write-ahead journal hook, called before the wave
-    (let alone the campaign) finishes so a crash mid-wave keeps every
-    collected cell.
+    Returns (failed, lost, started): ``failed`` maps the cells charged
+    with this attempt (a timeout, a submission error) to the reason;
+    ``lost`` maps the cells a broken pool never returned to the reason;
+    ``started`` holds the indices a worker had begun.
     """
-    payloads: dict[int, dict[str, Any]] = {}
-    unfinished: dict[int, str] = {}
-
-    def collected(i: int, payload: dict[str, Any]) -> None:
-        payloads[i] = payload
-        if on_payload is not None:
-            on_payload(i, payload)
-
+    started = multiprocessing.RawArray("b", len(cells))
+    failed: dict[int, str] = {}
+    lost: dict[int, str] = {}
     ex = ProcessPoolExecutor(
         max_workers=workers,
         initializer=_worker_init,
-        initargs=(cache_dir,),
+        initargs=(cache_dir, started),
     )
     broken = False
     try:
-        futures = {i: ex.submit(_cell_task, cells[i], trace) for i in indices}
+        futures = {
+            i: ex.submit(_pool_task, i, cells[i], trace) for i in indices
+        }
         for i, fut in futures.items():
             if broken:
                 # Pool already abandoned: salvage whatever finished.
@@ -420,20 +440,18 @@ def _parallel_wave(
                         continue
                     except Exception:
                         pass
-                unfinished.setdefault(i, "worker pool abandoned")
+                lost.setdefault(i, "worker pool abandoned")
                 continue
             try:
                 collected(i, fut.result(timeout=cell_timeout))
             except concurrent.futures.TimeoutError:
-                unfinished[i] = (
-                    f"cell exceeded timeout of {cell_timeout}s"
-                )
+                failed[i] = f"cell exceeded timeout of {cell_timeout}s"
                 broken = True
             except BrokenProcessPool:
-                unfinished[i] = "worker process crashed"
+                lost[i] = "worker process crashed"
                 broken = True
             except Exception as exc:  # submission/pickling trouble
-                unfinished[i] = f"{type(exc).__name__}: {exc}"
+                failed[i] = f"{type(exc).__name__}: {exc}"
             except BaseException:
                 # SIGTERM/SIGINT (or another non-cell exception) while
                 # waiting: kill the pool on the way out instead of
@@ -447,6 +465,57 @@ def _parallel_wave(
             _abandon_pool(ex)
         else:
             ex.shutdown(wait=True)
+    return failed, lost, {i for i in indices if started[i]}
+
+
+def _parallel_wave(
+    cells: Sequence[Cell],
+    indices: Sequence[int],
+    workers: int,
+    cache_dir: str | None,
+    cell_timeout: float | None,
+    trace: bool = False,
+    on_payload: Any = None,
+) -> tuple[dict[int, dict[str, Any]], dict[int, str]]:
+    """One attempt at ``indices``. Returns (payloads by index, unfinished).
+
+    ``on_payload(index, payload)`` fires as each result is collected in
+    the parent — the write-ahead journal hook, called before the wave
+    (let alone the campaign) finishes so a crash mid-wave keeps every
+    collected cell.
+
+    A broken pool fails every cell it had not returned, but only a cell
+    a worker had begun can have broken it.  Each of those is re-run
+    alone, so the crash or hang is charged to the cell that caused it;
+    the cells that never started go to a fresh pool, uncharged.
+    """
+    payloads: dict[int, dict[str, Any]] = {}
+    unfinished: dict[int, str] = {}
+
+    def collected(i: int, payload: dict[str, Any]) -> None:
+        payloads[i] = payload
+        if on_payload is not None:
+            on_payload(i, payload)
+
+    todo = list(indices)
+    while todo:
+        failed, lost, started = _pool_round(
+            cells, todo, workers, cache_dir, cell_timeout, trace, collected
+        )
+        unfinished.update(failed)
+        suspects = [i for i in lost if i in started]
+        for i in suspects:
+            alone_failed, alone_lost, _ = _pool_round(
+                cells, [i], 1, cache_dir, cell_timeout, trace, collected
+            )
+            unfinished.update(alone_failed)
+            unfinished.update(alone_lost)
+        todo = [i for i in lost if i not in started]
+        if todo and not (failed or suspects):
+            # The pool broke outside any cell (say, in the worker
+            # initializer): charge everyone rather than loop.
+            unfinished.update((i, lost[i]) for i in todo)
+            break
     return payloads, unfinished
 
 

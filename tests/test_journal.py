@@ -3,8 +3,10 @@
 The load-bearing properties: a campaign resumed from a journal replays
 journaled cells (zero pipeline passes) and produces a report
 byte-identical to an uninterrupted run; a journal from a different
-campaign is refused, never truncated.  Torn final records are covered
-for every store in ``test_recordlog.py``.
+campaign is refused, never truncated; a journal truncated or
+bit-flipped at any byte of its final record recovers exactly the
+intact prefix (``test_recordlog.py`` holds the same property for
+every store built on the record log).
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ import sys
 import time
 
 import pytest
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ReproError
 from repro.fuzz.campaign import run_fuzz
@@ -104,7 +109,67 @@ class TestJournalRoundTrip:
 # ----------------------------------------------------------------------
 # torn-tail recovery
 # ----------------------------------------------------------------------
+def fill_with_final_start(tmp_path):
+    """Four journaled cells; returns (journal, cells, final record offset)."""
+    journal, cells = fill_journal(tmp_path, 4)
+    raw = open(journal.path, "rb").read()
+    os.unlink(journal.path)
+    journal = CellJournal.open(str(tmp_path), campaign_key(cells))
+    for i, cell in enumerate(cells[:3]):
+        journal.append(
+            cell.cell_id, {"value": i, "seconds": 0.1 * i, "pid": None}
+        )
+    start = os.path.getsize(journal.path)
+    with open(journal.path, "wb") as fh:
+        fh.write(raw)
+    return journal, cells, start
+
+
 class TestTornTail:
+    @given(cut=st.integers(min_value=0, max_value=200))
+    @settings(max_examples=60, deadline=None)
+    def test_truncation_at_every_final_record_byte(self, tmp_path_factory, cut):
+        """Cutting the file anywhere inside the final record loses only
+        that record; the intact prefix survives byte-for-byte."""
+        tmp_path = tmp_path_factory.mktemp("torn")
+        journal, cells, start = fill_with_final_start(tmp_path)
+        raw = open(journal.path, "rb").read()
+        prefix, final = raw[:start], raw[start:]
+        cut_at = len(prefix) + min(cut, len(final) - 1)
+        os.truncate(journal.path, cut_at)
+
+        rec = journal.recover()
+        assert rec.records == 3
+        # cutting exactly at the record boundary leaves a clean (short)
+        # journal; any byte into the final record is a torn tail
+        torn_bytes = cut_at - len(prefix)
+        assert rec.torn_tail == (1 if torn_bytes else 0)
+        assert rec.truncated_bytes == torn_bytes
+        assert open(journal.path, "rb").read() == prefix
+        assert cells[3].cell_id not in rec.payloads
+
+    @given(
+        byte=st.integers(min_value=0, max_value=200),
+        bit=st.integers(min_value=0, max_value=7),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bitflip_in_final_record(self, tmp_path_factory, byte, bit):
+        """Flipping any bit of the final record makes recovery drop
+        exactly that record (checksum or framing breaks, prefix kept)."""
+        tmp_path = tmp_path_factory.mktemp("flip")
+        journal, cells, start = fill_with_final_start(tmp_path)
+        raw = open(journal.path, "rb").read()
+        prefix, final = raw[:start], bytearray(raw[start:])
+        final[min(byte, len(final) - 1)] ^= 1 << bit
+        with open(journal.path, "wb") as fh:
+            fh.write(prefix + bytes(final))
+
+        rec = journal.recover()
+        assert rec.records == 3
+        assert rec.torn_tail == 1
+        assert open(journal.path, "rb").read() == prefix
+        assert cells[3].cell_id not in rec.payloads
+
     def test_mid_file_corruption_stops_the_scan(self, tmp_path):
         """A corrupt *interior* record ends recovery at that point:
         later (intact) records are re-executed, never half-trusted."""
