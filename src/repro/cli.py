@@ -1,70 +1,29 @@
-"""Command-line experiment driver.
+"""Command-line experiment driver: ``repro-mimd <command> [options]``.
 
-Usage::
+``python -m repro.cli <command>`` works identically.  The commands
+live in one table, :data:`_COMMANDS`: each row names its handler, its
+one-line help and the options it reads, and ``repro-mimd <command>
+--help`` lists exactly those.  Options belong to their command and go
+after its name; an option the command does not read is a usage error
+(exit 2).
 
-    repro-mimd fig1          # classification example
-    repro-mimd fig3          # pattern emergence chart
-    repro-mimd fig7          # worked example (ours 40% vs DOACROSS 0%)
-    repro-mimd fig8          # DOACROSS +/- optimal reordering
-    repro-mimd fig9          # Cytron86 example
-    repro-mimd fig11         # Livermore Loop 18
-    repro-mimd fig12         # elliptic wave filter
-    repro-mimd table1        # 25 random loops x mm in {1,3,5}
-    repro-mimd sweep         # communication-cost robustness sweep
-    repro-mimd codegen       # Fig. 10-style partitioned code for fig7
-    repro-mimd stages fig7   # per-pass pipeline timings, cold vs warm
-    repro-mimd campaign table1 --workers 4   # sharded parallel campaign
-    repro-mimd fuzz --loops 2000 --seed 0 --json out.json  # fuzz campaign
-    repro-mimd chaos fig7 --seeds 1,2    # fault-injection matrix + self-heal
-    repro-mimd chaos corpus:singleton_self_dep   # chaos on a corpus entry
-    repro-mimd chaos kill:campaign       # SIGKILL + journal-resume scenario
-    repro-mimd profile table1            # run under the tracer, print profile
-    repro-mimd serve --port 8642         # compilation-as-a-service daemon
-    repro-mimd all           # everything above
+``--iterations`` is on every paper-artifact command, because ``all``
+forwards it to each of them.  For most it is the simulated trip count;
+``fig9`` runs twice that, ``table1`` and ``sweep`` half of it, and
+``fig1``, ``fig3``, ``perfect`` and ``codegen`` have no trip count and
+ignore it.  Each command's ``--help`` says which.
 
-``python -m repro.cli <experiment>`` works identically.
+``profile <command> [options]`` runs any command except ``serve``
+under the hierarchical tracer (:mod:`repro.obs`) and prints the flat
+text profile plus the metrics counters.  ``--trace-out FILE`` (on
+every command) writes the spans as Chrome ``trace_event`` JSON.
 
-``profile <subcommand>`` runs any experiment (or ``campaign``) under
-the hierarchical tracer (:mod:`repro.obs`) and prints the flat text
-profile — spans aggregated by category:name with count/total/self time
-and p50/p95/p99 — plus the metrics counters.  ``--trace-out FILE``
-(available on every subcommand) additionally writes the spans as
-Chrome ``trace_event`` JSON; open the file in ``chrome://tracing`` or
-https://ui.perfetto.dev.
-
-``campaign`` runs the Table 1 / comm-sweep campaigns through the
-fault-tolerant parallel runner (:mod:`repro.runner`): ``--workers N``
-fans cells out over a process pool, ``--shard i/n`` executes one
-shard of the campaign, ``--cache-dir`` shares scheduler results on
-disk across workers and runs, and per-cell observability is written
-to ``BENCH_campaign.json``.
-
-``fuzz`` runs the coverage-guided fuzz campaign (:mod:`repro.fuzz`)
-over the same runner: ``--loops N`` generated cases are checked
-against the differential/invariant oracles, with per-pattern coverage
-counts and minimized failure repros in the report.  The ``--json``
-payload is bit-identical for a given ``(--loops, --seed)`` regardless
-of ``--workers`` or ``--shard`` (pipeline telemetry, which is timing-
-dependent, is deliberately excluded there).
-
-``--journal DIR`` (on ``campaign`` and ``fuzz``) write-ahead journals
-every completed cell so an interrupted run — SIGKILL included —
-resumes where it stopped (``--no-resume`` re-executes instead); the
-resumed report is byte-identical to an uninterrupted one.  ``fuzz
---sigstore PATH`` merges each run's behavior signatures into a
-persisted cross-run store and reports which are new *ever*;
-``--promote-dir DIR`` writes minimized oracle-failing repros not yet
-pinned in ``tests/corpus/`` as reviewable corpus entries.
-
-``serve`` starts the asyncio compile daemon (DESIGN.md §11): POST a
-loop program to ``/compile`` and get the schedule + speedup back;
-identical concurrent requests coalesce onto one compilation and warm
-requests are answered straight from the cache.  ``--port 0`` picks an
-ephemeral port (printed on stdout).
-
-Every subcommand supports ``--json PATH``: the experiment payload is
-written together with aggregated pipeline telemetry (per-pass wall
-time, cache hits, warnings) under the ``pipeline_report`` key.
+Every command takes ``--json PATH``: the command's payload is written
+together with aggregated pipeline telemetry (per-pass wall time, cache
+hits, warnings) under the ``pipeline_report`` key.  ``fuzz`` is the
+one exception: its payload is written bare, because its contract is
+bit-identity across reruns, workers and shards, and telemetry is
+timing-dependent.
 
 Shutdown is graceful everywhere: SIGTERM/SIGINT during ``serve`` or
 ``campaign`` drains accepted work where possible and always flushes
@@ -76,7 +35,9 @@ exiting 143/130, so an interrupted run leaves valid (marked
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.experiments import (
@@ -145,10 +106,13 @@ def _cmd_fig3(args: argparse.Namespace):
     }
 
 
-def _cmd_fig7(args: argparse.Namespace):
+def _cmd_measurement(
+    run: Callable[[int], Any], scale: int, args: argparse.Namespace
+):
+    """Figs. 7, 9, 11 and 12: one ours-vs-DOACROSS measurement."""
     from repro.report import measurement_to_dict
 
-    m = run_fig7(args.iterations)
+    m = run(scale * args.iterations)
     print(format_measurement(m))
     return measurement_to_dict(m)
 
@@ -165,30 +129,6 @@ def _cmd_fig8(args: argparse.Namespace):
     return fig8_to_dict(r)
 
 
-def _cmd_fig9(args: argparse.Namespace):
-    from repro.report import measurement_to_dict
-
-    m = run_fig9(2 * args.iterations)
-    print(format_measurement(m))
-    return measurement_to_dict(m)
-
-
-def _cmd_fig11(args: argparse.Namespace):
-    from repro.report import measurement_to_dict
-
-    m = run_fig11(args.iterations)
-    print(format_measurement(m))
-    return measurement_to_dict(m)
-
-
-def _cmd_fig12(args: argparse.Namespace):
-    from repro.report import measurement_to_dict
-
-    m = run_fig12(args.iterations)
-    print(format_measurement(m))
-    return measurement_to_dict(m)
-
-
 def _cmd_table1(args: argparse.Namespace):
     from repro.report import table1_to_dict
 
@@ -200,7 +140,7 @@ def _cmd_table1(args: argparse.Namespace):
 def _cmd_sweep(args: argparse.Namespace):
     print("Robustness sweep: schedule with k=3, run with worst-case "
           "true cost (paper conclusion: profitable up to ~7x node time)")
-    pts = run_comm_sweep()
+    pts = run_comm_sweep(iterations=args.iterations // 2)
     for pt in pts:
         print(f"  true k={pt.true_k:3d}: ours {pt.sp_ours:5.1f}   "
               f"doacross {pt.sp_doacross:5.1f}")
@@ -262,7 +202,7 @@ def _stages_context(target: str, args: argparse.Namespace):
 
 def _cmd_stages(args: argparse.Namespace):
     """Per-pass pipeline instrumentation, demonstrating artifact caching."""
-    target = args.file or "fig7"
+    target = args.target
     cache = ArtifactCache()  # fresh, so 'cold' is genuinely cold
 
     def run_once():
@@ -292,6 +232,21 @@ def _cmd_stages(args: argparse.Namespace):
         "cold": cold.to_dict(),
         "warm": warm.to_dict(),
     }
+
+
+def _cmd_all(args: argparse.Namespace):
+    """Every paper artifact in table order, each at ``--iterations``."""
+    from repro.obs import current_tracer
+
+    experiments: dict[str, Any] = {}
+    for name, cmd in _COMMANDS.items():
+        if not cmd.artifact:
+            continue
+        print(f"\n=== {name} " + "=" * (60 - len(name)))
+        argv = [name, "--iterations", str(args.iterations)]
+        with current_tracer().span(name, "experiment"):
+            experiments[name] = cmd.run(_parser().parse_args(argv))
+    return {"experiments": experiments}
 
 
 def schedule_file(
@@ -350,29 +305,45 @@ def schedule_file(
 
 def _cmd_schedule(args: argparse.Namespace):
     text = schedule_file(
-        args.file,
+        args.target,
         processors=args.processors,
         k=args.k,
         iterations=args.iterations,
         emit=args.emit,
     )
     print(text)
-    return {"file": args.file, "report": text}
+    return {"file": args.target, "report": text}
 
 
-def _parse_seed_spec(spec: str) -> list[int]:
-    """Parse ``"1,2,5-8"`` into ``[1, 2, 5, 6, 7, 8]``."""
+def _seed_list(spec: str) -> list[int]:
+    """argparse type for ``--seeds``: ``"1,2,5-7"`` -> ``[1, 2, 5, 6, 7]``."""
     seeds: list[int] = []
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "-" in part:
-            lo, hi = part.split("-", 1)
-            seeds.extend(range(int(lo), int(hi) + 1))
-        else:
-            seeds.append(int(part))
+    for part in filter(None, (p.strip() for p in spec.split(","))):
+        lo, _, hi = part.partition("-")
+        try:
+            first, last = int(lo), int(hi or lo)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"seed spec must look like '1,2,5-8', got {spec!r}"
+            ) from None
+        if last < first:
+            raise argparse.ArgumentTypeError(
+                f"seed range {part!r} is empty (want lo-hi with lo <= hi)"
+            )
+        seeds.extend(range(first, last + 1))
     return seeds
+
+
+def _shard_spec(spec: str) -> str:
+    """argparse type for ``--shard``: validate ``i/n``, keep the string."""
+    from repro.errors import ReproError
+    from repro.runner import parse_shard
+
+    try:
+        parse_shard(spec)
+    except ReproError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return spec
 
 
 def _cmd_campaign(args: argparse.Namespace):
@@ -382,20 +353,14 @@ def _cmd_campaign(args: argparse.Namespace):
     from repro.runner import run_campaign
     from repro.workloads import paper_seeds
 
-    target = args.file or "table1"
+    target = args.target
     if target == "table1":
-        seeds = (
-            _parse_seed_spec(args.seeds) if args.seeds else paper_seeds()
+        cells = table1_cells(
+            args.seeds or paper_seeds(), iterations=args.iterations
         )
-        cells = table1_cells(seeds, iterations=args.iterations)
-    elif target == "sweep":
-        seeds = (
-            _parse_seed_spec(args.seeds) if args.seeds else paper_seeds()[:10]
-        )
-        cells = sweep_cells(seeds, iterations=args.iterations)
     else:
-        raise SystemExit(
-            f"campaign: unknown target {target!r} (use 'table1' or 'sweep')"
+        cells = sweep_cells(
+            args.seeds or paper_seeds()[:10], iterations=args.iterations
         )
 
     campaign = run_campaign(
@@ -447,7 +412,6 @@ def _cmd_campaign(args: argparse.Namespace):
 def _cmd_fuzz(args: argparse.Namespace):
     """Coverage-guided fuzz campaign (`repro-mimd fuzz --loops N`)."""
     from repro.fuzz import run_fuzz
-    from repro.report import to_json
 
     report = run_fuzz(
         args.loops,
@@ -486,16 +450,7 @@ def _cmd_fuzz(args: argparse.Namespace):
         )
         for path in promoted:
             print(f"  {path}")
-    payload = report.to_dict()
-    if args.json:
-        # Written directly, *without* the pipeline_report telemetry
-        # _export would attach: the fuzz payload's contract is
-        # bit-identity across reruns/workers/shards, and telemetry is
-        # timing-dependent.
-        to_json(payload, args.json)
-        print(f"(wrote {args.json})")
-        args.json = None
-    return payload
+    return report.to_dict()
 
 
 def _chaos_workload(target: str):
@@ -529,13 +484,13 @@ def _cmd_chaos(args: argparse.Namespace):
     from repro.chaos import run_cache_selfheal, run_chaos_matrix
     from repro.report import format_chaos_table
 
-    target = args.file or "fig7"
+    target = args.target
     if target == "kill:campaign":
         import tempfile
 
         from repro.chaos import run_kill_resume
 
-        seeds = _parse_seed_spec(args.seeds) if args.seeds else [0]
+        seeds = args.seeds or [0]
         with tempfile.TemporaryDirectory(prefix="killresume.") as work:
             payload = run_kill_resume(
                 work,
@@ -554,7 +509,7 @@ def _cmd_chaos(args: argparse.Namespace):
         )
         return payload
     workload = _chaos_workload(target)
-    seeds = _parse_seed_spec(args.seeds) if args.seeds else [1, 2]
+    seeds = args.seeds or [1, 2]
     payload = run_chaos_matrix(
         workload, seeds, iterations=args.iterations
     )
@@ -632,236 +587,253 @@ def _cmd_serve(args: argparse.Namespace):
     return payload
 
 
-_COMMANDS: dict[str, Callable[[argparse.Namespace], Any]] = {
-    "fig1": _cmd_fig1,
-    "fig3": _cmd_fig3,
-    "fig7": _cmd_fig7,
-    "fig8": _cmd_fig8,
-    "fig9": _cmd_fig9,
-    "fig11": _cmd_fig11,
-    "fig12": _cmd_fig12,
-    "table1": _cmd_table1,
-    "sweep": _cmd_sweep,
-    "perfect": _cmd_perfect,
-    "codegen": _cmd_codegen,
-    "stages": _cmd_stages,
+#: Every option, defined once: flag -> add_argument keywords.  A command
+#: gets the ones its row lists, plus --json and --trace-out.
+_OPTIONS: dict[str, dict[str, Any]] = {
+    "--processors": dict(type=int, default=4,
+                         help="processor budget (default %(default)s)"),
+    "-k": dict(type=int, default=2,
+               help="communication cost estimate (default %(default)s)"),
+    "--emit": dict(action="store_true",
+                   help="also print Fig. 10-style partitioned code"),
+    "--workers": dict(type=int, help="worker processes (campaign and "
+                      "fuzz default 1: serial; chaos kill:campaign 2) or "
+                      "compile threads (serve; default pool-sized)"),
+    "--shard": dict(type=_shard_spec, metavar="i/n",
+                    help="execute only shard i of n (0-based)"),
+    "--seeds": dict(type=_seed_list, metavar="SPEC",
+                    help="seed list, e.g. '1,2,5-8' (default: campaign "
+                    "the paper's seeds, chaos 1,2, kill:campaign 0)"),
+    "--cache-dir": dict(metavar="DIR",
+                        help="shared on-disk artifact cache"),
+    "--cell-timeout": dict(type=float, metavar="SECONDS",
+                           help="per-cell wall-clock budget "
+                           "(default: unlimited)"),
+    "--retries": dict(type=int, default=1,
+                      help="extra attempts for failed/crashed/timed-out "
+                      "cells (default %(default)s)"),
+    "--retry-backoff": dict(type=float, default=0.25, metavar="SECONDS",
+                            help="base of the seeded exponential backoff "
+                            "slept before each retry wave (default "
+                            "%(default)s; 0 retries immediately)"),
+    "--bench": dict(metavar="PATH", default="BENCH_campaign.json",
+                    help="where to write per-cell observability "
+                    "(default %(default)s)"),
+    "--journal": dict(metavar="DIR",
+                      help="write-ahead journal directory: an interrupted "
+                      "run resumes where it stopped"),
+    "--resume": dict(action=argparse.BooleanOptionalAction, default=True,
+                     help="replay journaled cells on restart (default "
+                     "on; --no-resume re-executes, still journaling)"),
+    "--loops": dict(type=int, default=1000,
+                    help="generated cases (default %(default)s)"),
+    "--seed": dict(type=int, default=0,
+                   help="campaign seed; same seed => bit-identical --json "
+                   "report (default %(default)s)"),
+    "--chunk": dict(type=int, default=250,
+                    help="cases per fuzz cell, also the journal/resume "
+                    "granularity (default %(default)s)"),
+    "--sigstore": dict(metavar="PATH",
+                       help="persisted cross-run signature store: report "
+                       "which behaviors are new *ever*"),
+    "--promote-dir": dict(metavar="DIR",
+                          help="write minimized oracle-failing repros not "
+                          "yet in tests/corpus/ as corpus entries"),
+    "--host": dict(default="127.0.0.1",
+                   help="bind address (default %(default)s)"),
+    "--port": dict(type=int, default=8642,
+                   help="TCP port; 0 picks an ephemeral port, printed on "
+                   "stdout (default %(default)s)"),
+    "--max-queue": dict(type=int, default=256,
+                        help="max distinct in-flight compilations before "
+                        "answering 503 (default %(default)s)"),
+    "argv": dict(nargs=argparse.REMAINDER, metavar="...",
+                 help="the traced command's own options"),
+    "--json": dict(metavar="PATH",
+                   help="also write the command's result (with pipeline "
+                   "telemetry) as JSON to PATH"),
+    "--trace-out": dict(metavar="PATH",
+                        help="enable tracing and write the spans as "
+                        "Chrome trace_event JSON to PATH (open in "
+                        "chrome://tracing or ui.perfetto.dev)"),
+}
+
+_TRIPS = "simulated loop trip count"
+_HALF = "twice the simulated loop trip count: runs N // 2 iterations"
+_NO_TRIPS = "ignored, as this command has no trip count; 'all' forwards it"
+_RUNNER = ("--workers", "--shard", "--cache-dir", "--cell-timeout",
+           "--retries")
+_JOURNAL = ("--journal", "--resume")
+
+
+@dataclass(frozen=True)
+class _Command:
+    """One row of the command table.
+
+    ``options`` names the :data:`_OPTIONS` the handler reads;
+    ``target`` configures its positional argument, if any;
+    ``iterations`` is what ``--iterations`` means to it (``None``: not
+    accepted).  ``artifact`` rows are what ``all`` runs, and
+    ``telemetry=False`` writes ``--json`` without ``pipeline_report``.
+    Only ``profile`` has no ``run``: main() re-parses its target.
+    """
+
+    run: Callable[[argparse.Namespace], Any] | None
+    help: str
+    iterations: str | None = None
+    options: tuple[str, ...] = ()
+    target: dict[str, Any] | None = None
+    artifact: bool = False
+    telemetry: bool = True
+
+
+def _figure(run: Callable[[int], Any], scale: int = 1):
+    return functools.partial(_cmd_measurement, run, scale)
+
+
+_COMMANDS: dict[str, _Command] = {
+    "fig1": _Command(_cmd_fig1, "Fig. 1 classification example",
+                     _NO_TRIPS, artifact=True),
+    "fig3": _Command(_cmd_fig3, "Fig. 3 pattern emergence chart",
+                     _NO_TRIPS, artifact=True),
+    "fig7": _Command(_figure(run_fig7), "Fig. 7 worked example, ours vs "
+                     "DOACROSS", _TRIPS, artifact=True),
+    "fig8": _Command(_cmd_fig8, "Fig. 8 DOACROSS with and without optimal "
+                     "reordering", _TRIPS, artifact=True),
+    "fig9": _Command(_figure(run_fig9, 2), "Fig. 9 Cytron86 example",
+                     "half the simulated loop trip count: runs 2N "
+                     "iterations", artifact=True),
+    "fig11": _Command(_figure(run_fig11), "Fig. 11 Livermore Loop 18",
+                      _TRIPS, artifact=True),
+    "fig12": _Command(_figure(run_fig12), "Fig. 12 elliptic wave filter",
+                      _TRIPS, artifact=True),
+    "table1": _Command(_cmd_table1, "Table 1: 25 random loops x mm in "
+                       "{1,3,5}", _HALF, artifact=True),
+    "sweep": _Command(_cmd_sweep, "the conclusion's communication-cost "
+                      "robustness sweep", _HALF, artifact=True),
+    "perfect": _Command(_cmd_perfect, "recurrence bound <= Perfect "
+                        "Pipelining <= ours <= DOACROSS", _NO_TRIPS,
+                        artifact=True),
+    "codegen": _Command(_cmd_codegen, "Fig. 10-style partitioned code for "
+                        "the Fig. 7 loop", _NO_TRIPS, artifact=True),
+    "stages": _Command(
+        _cmd_stages, "per-pass pipeline timings, cold vs warm cache",
+        _TRIPS, ("--processors", "-k"), artifact=True,
+        target=dict(nargs="?", default="fig7", metavar="workload",
+                    help="named workload or loop file path (default "
+                    "fig7); --processors and -k apply to a loop file"),
+    ),
+    "all": _Command(_cmd_all, "every paper artifact above, in order",
+                    "forwarded to every paper artifact"),
+    "schedule": _Command(
+        _cmd_schedule, "compile, simulate and verify your own loop file",
+        _TRIPS, ("--processors", "-k", "--emit"),
+        target=dict(metavar="file", help="mini-language loop file"),
+    ),
+    "campaign": _Command(
+        _cmd_campaign, "Table 1 or sweep cells on the sharded parallel "
+        "runner", "simulated loop trip count per cell",
+        (*_RUNNER, "--seeds", "--retry-backoff", "--bench", *_JOURNAL),
+        target=dict(nargs="?", default="table1", choices=("table1", "sweep"),
+                    help="which campaign (default table1)"),
+    ),
+    "fuzz": _Command(
+        _cmd_fuzz, "coverage-guided fuzz campaign", None,
+        ("--loops", "--seed", "--chunk", *_RUNNER, *_JOURNAL, "--sigstore",
+         "--promote-dir"),
+        telemetry=False,
+    ),
+    "chaos": _Command(
+        _cmd_chaos, "fault-injection matrix and cache self-heal check",
+        "simulated loop trip count per chaos run",
+        ("--seeds", "--cache-dir", "--loops", "--chunk", "--workers"),
+        target=dict(nargs="?", default="fig7",
+                    help="named workload, corpus:<entry>, or kill:campaign "
+                    "for the SIGKILL-and-resume scenario, which alone "
+                    "reads --loops, --chunk and --workers (default fig7)"),
+    ),
+    "profile": _Command(
+        None, "run a command under the tracer and print its profile",
+        options=("argv",),
+        target=dict(nargs="?", default="fig7", metavar="command",
+                    help="the command to trace (default fig7; not serve)"),
+    ),
+    "serve": _Command(
+        _cmd_serve, "compilation-as-a-service daemon", None,
+        ("--host", "--port", "--max-queue", "--workers"),
+    ),
 }
 
 
-def _export(args: argparse.Namespace, payload: Any, reports) -> None:
-    """Write ``payload`` + aggregated pipeline telemetry as JSON.
-
-    Dict payloads keep their keys at the top level (stable public
-    shape); list payloads are wrapped under ``rows``.
-    """
-    if not getattr(args, "json", None):
-        return
-    from repro.report import to_json
-
-    telemetry = aggregate_reports(reports)
-    if isinstance(payload, dict):
-        obj = {**payload, "pipeline_report": telemetry}
-    elif isinstance(payload, list):
-        obj = {"rows": payload, "pipeline_report": telemetry}
-    else:
-        obj = {"pipeline_report": telemetry}
-    to_json(obj, args.json)
-    print(f"(wrote {args.json})")
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Entry point: dispatch to one experiment, 'all', or 'schedule'."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The ``repro-mimd`` parser, one subparser per table row."""
     parser = argparse.ArgumentParser(
         prog="repro-mimd",
         description=(
             "Regenerate the tables and figures of Kim & Nicolau (ICPP "
             "1990), 'Parallelizing Non-Vectorizable Loops for MIMD "
-            "Machines', or schedule your own loop file."
+            "Machines', or schedule your own loop file.  Options go "
+            "after the command; see 'repro-mimd <command> --help'."
         ),
     )
-    parser.add_argument(
-        "experiment",
-        choices=[
-            *_COMMANDS,
-            "all",
-            "schedule",
-            "campaign",
-            "fuzz",
-            "chaos",
-            "profile",
-            "serve",
-        ],
-        help="which artifact to regenerate, 'schedule' for a file, "
-        "'stages' for per-pass pipeline timings, 'campaign' for the "
-        "sharded parallel runner, 'fuzz' for the coverage-guided fuzz "
-        "campaign, 'chaos' for the fault-injection matrix, 'profile' "
-        "to trace a subcommand, or 'serve' for the compile daemon",
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar="command"
     )
-    parser.add_argument(
-        "file",
-        nargs="?",
-        help="mini-language loop file (for 'schedule'), workload "
-        "name / loop file (for 'stages', default fig7), campaign "
-        "target 'table1'/'sweep' (for 'campaign', default table1), or "
-        "the subcommand to trace (for 'profile', default fig7)",
-    )
-    parser.add_argument(
-        "--iterations",
-        type=int,
-        default=100,
-        help="simulated loop trip count (default 100)",
-    )
-    parser.add_argument(
-        "--processors",
-        type=int,
-        default=4,
-        help="processor budget for 'schedule' (default 4)",
-    )
-    parser.add_argument(
-        "-k",
-        type=int,
-        default=2,
-        help="communication cost estimate for 'schedule' (default 2)",
-    )
-    parser.add_argument(
-        "--emit",
-        action="store_true",
-        help="also print Fig. 10-style partitioned code ('schedule')",
-    )
-    parser.add_argument(
-        "--json",
-        metavar="PATH",
-        help="also write the experiment's result (with pipeline "
-        "telemetry) as JSON to PATH",
-    )
-    parser.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        help="enable hierarchical tracing and write the spans as "
-        "Chrome trace_event JSON to PATH (open in chrome://tracing "
-        "or ui.perfetto.dev)",
-    )
-    campaign_opts = parser.add_argument_group("campaign options")
-    campaign_opts.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for 'campaign' (default 1: serial) / "
-        "compile worker threads for 'serve' (default: pool-sized)",
-    )
-    campaign_opts.add_argument(
-        "--shard",
-        metavar="i/n",
-        help="execute only shard i of n (0-based) of the campaign",
-    )
-    campaign_opts.add_argument(
-        "--seeds",
-        metavar="SPEC",
-        help="seed list for 'campaign', e.g. '1,2,5-8' (default: the "
-        "paper's seeds)",
-    )
-    campaign_opts.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="shared on-disk artifact cache for campaign workers",
-    )
-    campaign_opts.add_argument(
-        "--cell-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-cell wall-clock budget (default: unlimited)",
-    )
-    campaign_opts.add_argument(
-        "--retries",
-        type=int,
-        default=1,
-        help="extra attempts for failed/crashed/timed-out cells "
-        "(default 1)",
-    )
-    campaign_opts.add_argument(
-        "--retry-backoff",
-        type=float,
-        default=0.25,
-        metavar="SECONDS",
-        help="base of the seeded exponential backoff slept before "
-        "each retry wave (default 0.25; 0 retries immediately)",
-    )
-    campaign_opts.add_argument(
-        "--bench",
-        metavar="PATH",
-        default="BENCH_campaign.json",
-        help="where 'campaign' writes per-cell observability "
-        "(default BENCH_campaign.json)",
-    )
-    campaign_opts.add_argument(
-        "--journal",
-        metavar="DIR",
-        help="write-ahead journal directory for 'campaign'/'fuzz': "
-        "completed cells are durably journaled and an interrupted "
-        "run resumes where it stopped",
-    )
-    campaign_opts.add_argument(
-        "--resume",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="replay journaled cells on restart (default on; "
-        "--no-resume re-executes everything, still journaling)",
-    )
-    fuzz_opts = parser.add_argument_group("fuzz options")
-    fuzz_opts.add_argument(
-        "--loops",
-        type=int,
-        default=1000,
-        help="generated cases for 'fuzz' (default 1000)",
-    )
-    fuzz_opts.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="campaign seed for 'fuzz'; same seed => bit-identical "
-        "--json report (default 0)",
-    )
-    fuzz_opts.add_argument(
-        "--chunk",
-        type=int,
-        default=250,
-        help="cases per fuzz cell (default 250; also the journal/"
-        "resume granularity)",
-    )
-    fuzz_opts.add_argument(
-        "--sigstore",
-        metavar="PATH",
-        help="persisted cross-run signature store: report which "
-        "behaviors are new *ever*, not just new this run",
-    )
-    fuzz_opts.add_argument(
-        "--promote-dir",
-        metavar="DIR",
-        help="auto-promote minimized oracle-failing repros not "
-        "already in tests/corpus/ as reviewable corpus entries",
-    )
-    serve_opts = parser.add_argument_group("serve options")
-    serve_opts.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="bind address for 'serve' (default 127.0.0.1)",
-    )
-    serve_opts.add_argument(
-        "--port",
-        type=int,
-        default=8642,
-        help="TCP port for 'serve'; 0 picks an ephemeral port, "
-        "printed on stdout (default 8642)",
-    )
-    serve_opts.add_argument(
-        "--max-queue",
-        type=int,
-        default=256,
-        help="max distinct in-flight compilations before 'serve' "
-        "answers 503 at admission (default 256)",
-    )
+    for name, cmd in _COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help, description=cmd.help)
+        if cmd.target is not None:
+            p.add_argument("target", **cmd.target)
+        if cmd.iterations is not None:
+            p.add_argument(
+                "--iterations", type=int, default=100,
+                help=f"{cmd.iterations} (default %(default)s)",
+            )
+        for flag in (*cmd.options, "--json", "--trace-out"):
+            p.add_argument(flag, **_OPTIONS[flag])
+    return parser
+
+
+def _export(path: str | None, payload: Any, reports) -> None:
+    """Write ``payload`` to ``path`` as JSON, plus pipeline telemetry.
+
+    Dict payloads keep their keys at the top level (stable public
+    shape); list payloads are wrapped under ``rows``.  ``reports=None``
+    writes the payload bare.
+    """
+    if not path:
+        return
+    from repro.report import to_json
+
+    obj = payload
+    if reports is not None:
+        telemetry = aggregate_reports(reports)
+        if isinstance(payload, dict):
+            obj = {**payload, "pipeline_report": telemetry}
+        elif isinstance(payload, list):
+            obj = {"rows": payload, "pipeline_report": telemetry}
+        else:
+            obj = {"pipeline_report": telemetry}
+    to_json(obj, path)
+    print(f"(wrote {path})")
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Entry point: parse ``argv`` and run the command's table row."""
+    parser = _parser()
     args = parser.parse_args(argv)
+    profiling = args.command == "profile"
+    if profiling:
+        if args.target in ("serve", "profile"):
+            parser.error(f"profile: cannot trace {args.target!r}")
+        inner = [args.target, *args.argv]
+        if args.json:
+            inner += ["--json", args.json]
+        if args.trace_out:
+            inner += ["--trace-out", args.trace_out]
+        args = parser.parse_args(inner)
+    cmd = _COMMANDS[args.command]
+
     from repro.obs import (
         NULL_TRACER,
         MetricsRegistry,
@@ -873,20 +845,6 @@ def main(argv: list[str] | None = None) -> int:
         write_chrome_trace,
     )
 
-    profiling = args.experiment == "profile"
-    if profiling:
-        target = args.file or "fig7"
-        if target not in _COMMANDS and target not in (
-            "campaign",
-            "chaos",
-            "fuzz",
-        ):
-            parser.error(
-                f"profile: unknown subcommand {target!r} (choose from "
-                f"{', '.join([*_COMMANDS, 'campaign', 'chaos', 'fuzz'])})"
-            )
-        args.experiment = target
-        args.file = None  # the traced subcommand picks its own default
     tracing = profiling or bool(args.trace_out)
     tracer = Tracer() if tracing else NULL_TRACER
     prev_registry = set_registry(MetricsRegistry()) if tracing else None
@@ -912,27 +870,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with use_tracer(tracer), collect_reports() as reports:
             try:
-                with tracer.span(f"repro-mimd {args.experiment}", "cli"):
-                    if args.experiment == "schedule":
-                        if not args.file:
-                            parser.error("'schedule' needs a loop file")
-                        payload = _cmd_schedule(args)
-                    elif args.experiment == "campaign":
-                        payload = _cmd_campaign(args)
-                    elif args.experiment == "fuzz":
-                        payload = _cmd_fuzz(args)
-                    elif args.experiment == "chaos":
-                        payload = _cmd_chaos(args)
-                    elif args.experiment == "serve":
-                        payload = _cmd_serve(args)
-                    elif args.experiment == "all":
-                        payload = {"experiments": {}}
-                        for name, fn in _COMMANDS.items():
-                            print(f"\n=== {name} " + "=" * (60 - len(name)))
-                            with tracer.span(name, "experiment"):
-                                payload["experiments"][name] = fn(args)
-                    else:
-                        payload = _COMMANDS[args.experiment](args)
+                with tracer.span(f"repro-mimd {args.command}", "cli"):
+                    payload = cmd.run(args)
             except (_Terminated, KeyboardInterrupt) as exc:
                 signum = getattr(exc, "signum", _signal.SIGINT)
                 partial = getattr(exc, "payload", None)
@@ -944,7 +883,7 @@ def main(argv: list[str] | None = None) -> int:
                     "flushing artifacts",
                     flush=True,
                 )
-            _export(args, payload, reports)
+            _export(args.json, payload, reports if cmd.telemetry else None)
             if profiling and not exit_code:
                 print("\nprofile (spans by category:name, times in ms):")
                 print(text_profile(tracer.finished()))

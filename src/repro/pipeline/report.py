@@ -31,7 +31,7 @@ _SCHEDULER_COUNTERS = (
 
 
 def _pass_histogram(samples: Sequence[float]) -> dict[str, float]:
-    """Rounded latency summary of one pass's per-run seconds."""
+    """Rounded latency summary of per-run seconds (a pass's or a cell's)."""
     return {
         k: (v if k == "count" else round(v, 6))
         for k, v in summarize(samples).items()
@@ -154,41 +154,25 @@ def aggregate_reports(
     plus overall totals and the deduplicated warning diagnostics.
     """
     reports = list(reports)
-    per_pass: dict[str, dict[str, Any]] = {}
-    scheduler: dict[str, int] = {}
-    warnings: list[str] = []
-    seen: set[str] = set()
-    for rep in reports:
-        for r in rep.passes:
-            slot = per_pass.setdefault(
-                r.name,
-                {"runs": 0, "cache_hits": 0, "seconds": 0.0, "samples": []},
-            )
-            slot["runs"] += 1
-            slot["cache_hits"] += int(r.cache_hit)
-            slot["seconds"] += r.seconds
-            if len(slot["samples"]) < _MAX_SAMPLES:
-                slot["samples"].append(round(r.seconds, 6))
-            if r.name == "CyclicSchedPass":
-                for key in _SCHEDULER_COUNTERS:
-                    v = r.counters.get(key)
-                    if isinstance(v, int):
-                        scheduler[key] = scheduler.get(key, 0) + v
-        for d in rep.diagnostics:
-            if d.severity == "warning" and str(d) not in seen:
-                seen.add(str(d))
-                warnings.append(str(d))
-    for slot in per_pass.values():
-        slot["seconds"] = round(slot["seconds"], 6)
-        slot["histogram"] = _pass_histogram(slot["samples"])
-    return {
-        "pipelines": len(reports),
-        "total_seconds": round(sum(r.total_seconds for r in reports), 6),
-        "cache_hits": sum(r.cache_hits for r in reports),
-        "passes": per_pass,
-        "scheduler": scheduler,
-        "warnings": warnings,
-    }
+    return _fold(
+        len(reports),
+        sum(rep.total_seconds for rep in reports),
+        sum(rep.cache_hits for rep in reports),
+        (
+            (r.name, 1, int(r.cache_hit), r.seconds, (round(r.seconds, 6),))
+            for rep in reports
+            for r in rep.passes
+        ),
+        (
+            (key, r.counters.get(key))
+            for rep in reports
+            for r in rep.passes
+            if r.name == "CyclicSchedPass"
+            for key in _SCHEDULER_COUNTERS
+        ),
+        (str(d) for rep in reports for d in rep.diagnostics
+         if d.severity == "warning"),
+    )
 
 
 def merge_aggregated(summaries: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
@@ -200,39 +184,53 @@ def merge_aggregated(summaries: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
     into one dict of the same shape, so a sharded campaign reports
     pipeline telemetry identically to a serial run.
     """
-    merged: dict[str, Any] = {
-        "pipelines": 0,
-        "total_seconds": 0.0,
-        "cache_hits": 0,
-        "passes": {},
-        "scheduler": {},
-        "warnings": [],
-    }
-    seen: set[str] = set()
-    for s in summaries:
-        merged["pipelines"] += s.get("pipelines", 0)
-        merged["total_seconds"] += s.get("total_seconds", 0.0)
-        merged["cache_hits"] += s.get("cache_hits", 0)
-        for key, v in s.get("scheduler", {}).items():
-            if isinstance(v, int):
-                merged["scheduler"][key] = merged["scheduler"].get(key, 0) + v
-        for name, slot in s.get("passes", {}).items():
-            tgt = merged["passes"].setdefault(
-                name,
-                {"runs": 0, "cache_hits": 0, "seconds": 0.0, "samples": []},
-            )
-            tgt["runs"] += slot.get("runs", 0)
-            tgt["cache_hits"] += slot.get("cache_hits", 0)
-            tgt["seconds"] += slot.get("seconds", 0.0)
-            room = _MAX_SAMPLES - len(tgt["samples"])
-            if room > 0:
-                tgt["samples"].extend(slot.get("samples", ())[:room])
-        for w in s.get("warnings", ()):
-            if w not in seen:
-                seen.add(w)
-                merged["warnings"].append(w)
-    merged["total_seconds"] = round(merged["total_seconds"], 6)
-    for slot in merged["passes"].values():
+    summaries = list(summaries)
+    return _fold(
+        sum(s.get("pipelines", 0) for s in summaries),
+        sum(s.get("total_seconds", 0.0) for s in summaries),
+        sum(s.get("cache_hits", 0) for s in summaries),
+        (
+            (name, p.get("runs", 0), p.get("cache_hits", 0),
+             p.get("seconds", 0.0), p.get("samples", ()))
+            for s in summaries
+            for name, p in s.get("passes", {}).items()
+        ),
+        (item for s in summaries for item in s.get("scheduler", {}).items()),
+        (w for s in summaries for w in s.get("warnings", ())),
+    )
+
+
+def _fold(
+    pipelines: int, total_seconds: float, cache_hits: int,
+    passes: Iterable[tuple], counters: Iterable[tuple],
+    warnings: Iterable[str],
+) -> dict[str, Any]:
+    """The one accumulation behind both entry points: per-pass
+    ``(name, runs, cache_hits, seconds, samples)`` contributions,
+    integer scheduler ``counters`` and deduplicated ``warnings``."""
+    per_pass: dict[str, dict[str, Any]] = {}
+    for name, runs, hits, seconds, samples in passes:
+        slot = per_pass.setdefault(
+            name, {"runs": 0, "cache_hits": 0, "seconds": 0.0, "samples": []}
+        )
+        slot["runs"] += runs
+        slot["cache_hits"] += hits
+        slot["seconds"] += seconds
+        room = _MAX_SAMPLES - len(slot["samples"])
+        if room > 0:
+            slot["samples"].extend(samples[:room])
+    for slot in per_pass.values():
         slot["seconds"] = round(slot["seconds"], 6)
         slot["histogram"] = _pass_histogram(slot["samples"])
-    return merged
+    scheduler: dict[str, int] = {}
+    for key, v in counters:
+        if isinstance(v, int):
+            scheduler[key] = scheduler.get(key, 0) + v
+    return {
+        "pipelines": pipelines,
+        "total_seconds": round(total_seconds, 6),
+        "cache_hits": cache_hits,
+        "passes": per_pass,
+        "scheduler": scheduler,
+        "warnings": list(dict.fromkeys(warnings)),
+    }

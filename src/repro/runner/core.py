@@ -44,10 +44,14 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from repro.errors import CampaignError, ReproError
-from repro.obs.metrics import registry, summarize
+from repro.obs.metrics import registry
 from repro.obs.tracer import Tracer, current_tracer, replant, use_tracer
 from repro.pipeline.cache import default_cache, set_default_cache
-from repro.pipeline.report import aggregate_reports, merge_aggregated
+from repro.pipeline.report import (
+    _pass_histogram,
+    aggregate_reports,
+    merge_aggregated,
+)
 from repro.runner.cells import Cell, execute_cell
 from repro.runner.diskcache import DiskCache, TieredCache
 from repro.runner.journal import CellJournal, campaign_key
@@ -153,21 +157,14 @@ class CampaignResult:
         (count/mean/min/max/p50/p95/p99); ``by_kind`` breaks the same
         summary down per cell kind.
         """
-
-        def _rounded(samples: list[float]) -> dict[str, float]:
-            return {
-                k: (v if k == "count" else round(v, 6))
-                for k, v in summarize(samples).items()
-            }
-
         ok = [r for r in self.results if r.ok]
         by_kind: dict[str, list[float]] = {}
         for r in ok:
             by_kind.setdefault(r.cell.kind, []).append(r.seconds)
         return {
-            "cell_seconds": _rounded([r.seconds for r in ok]),
+            "cell_seconds": _pass_histogram([r.seconds for r in ok]),
             "by_kind": {
-                kind: _rounded(samples)
+                kind: _pass_histogram(samples)
                 for kind, samples in sorted(by_kind.items())
             },
         }

@@ -213,3 +213,126 @@ class TestChaosCommand:
     def test_chaos_unknown_workload_rejected(self):
         with pytest.raises(SystemExit, match="unknown workload"):
             main(["chaos", "nope", "--iterations", "8"])
+
+
+# ----------------------------------------------------------------------
+# the command table: per-command options, parse-time validation
+# ----------------------------------------------------------------------
+from repro.cli import _COMMANDS  # noqa: E402
+
+
+@pytest.mark.parametrize("cmd", list(_COMMANDS))
+def test_every_command_has_help(cmd, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--help"])
+    assert exc.value.code == 0
+    assert f"usage: repro-mimd {cmd}" in capsys.readouterr().out
+
+
+def test_help_says_when_iterations_is_ignored(capsys):
+    with pytest.raises(SystemExit):
+        main(["fig1", "--help"])
+    assert "ignored" in capsys.readouterr().out
+
+
+# one option per command that the command does not read
+_UNREAD = {
+    "fig1": ["--seeds", "1"],
+    "fig3": ["--loops", "3"],
+    "fig7": ["--port", "1"],
+    "fig8": ["--workers", "2"],
+    "fig9": ["--emit"],
+    "fig11": ["--bench", "b.json"],
+    "fig12": ["--shard", "0/2"],
+    "table1": ["--cache-dir", "cache"],
+    "sweep": ["--retries", "2"],
+    "perfect": ["--processors", "2"],
+    "codegen": ["-k", "3"],
+    "stages": ["fig7", "--emit"],
+    "all": ["--loops", "3"],
+    "schedule": ["f.txt", "--loops", "3"],
+    "campaign": ["table1", "--loops", "3"],
+    "fuzz": ["--retry-backoff", "0"],
+    "chaos": ["fig7", "--bench", "b.json"],
+    "profile": ["--port", "1"],
+    "serve": ["--seeds", "1"],
+}
+
+
+def test_unread_option_table_covers_every_command():
+    assert set(_UNREAD) == set(_COMMANDS)
+
+
+@pytest.mark.parametrize("cmd", list(_UNREAD))
+def test_option_the_command_does_not_read_exits_2(
+    cmd, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, *_UNREAD[cmd]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--seeds", "1-x", "seed spec"),
+        ("--seeds", "3-1", "is empty"),
+        ("--shard", "1/x", "shard spec must look like 'i/n'"),
+    ],
+)
+def test_malformed_campaign_spec_is_a_usage_error(
+    flag, value, message, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["campaign", "table1", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: repro-mimd campaign" in err and message in err
+    assert not (tmp_path / "BENCH_campaign.json").exists()
+
+
+def test_sweep_honours_iterations(tmp_path, capsys):
+    import json
+
+    from repro.experiments import run_comm_sweep
+    from repro.report import sweep_to_dicts
+
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--iterations", "20", "--json", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    expected = sweep_to_dicts(run_comm_sweep(iterations=10))
+    assert rows == json.loads(json.dumps(expected))
+
+
+def test_all_runs_every_paper_artifact(tmp_path, capsys):
+    import json
+
+    out = tmp_path / "all.json"
+    assert main(["all", "--iterations", "20", "--json", str(out)]) == 0
+    experiments = json.loads(out.read_text())["experiments"]
+    artifacts = [name for name, cmd in _COMMANDS.items() if cmd.artifact]
+    assert sorted(experiments) == sorted(artifacts)
+    assert len(experiments) == 12
+    assert experiments["fig7"]["workload"] == "fig7"
+
+
+def test_profile_forwards_the_traced_commands_own_options(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    argv = ["profile", "campaign", "sweep", "--seeds", "1",
+            "--iterations", "10"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "campaign 'sweep': 6 of 6 cells executed" in out
+    assert "profile (spans by category:name" in out
+    assert "cli:repro-mimd campaign" in out
+
+
+def test_profile_refuses_serve(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["profile", "serve"])
+    assert exc.value.code == 2
