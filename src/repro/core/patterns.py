@@ -224,33 +224,55 @@ class Pattern:
             processors=self.processors,
         )
 
-    def expand(self, iterations: int) -> Schedule:
-        """Unroll the pattern into a complete schedule for ``[0, N)``.
+    def rows(
+        self, iterations: int
+    ) -> tuple[list[list[Op]], list[list[int]], list[list[int]]]:
+        """The expanded schedule for ``[0, N)``, processor by processor.
 
-        Repetition ``r`` of the kernel is shifted ``r * period`` cycles
-        and ``r * iter_shift`` iterations; instances at iterations
-        ``>= iterations`` are dropped.
+        Returns ``(ops, starts, latencies)``: entry ``j`` of each lists
+        processor ``j``'s placements in start order.  They are computed
+        from the pattern by arithmetic, like a modulo reservation
+        table: repetition ``r`` of the kernel is shifted ``r * period``
+        cycles and ``r * iter_shift`` iterations, and instances at
+        iterations ``>= iterations`` are dropped.  Start order follows
+        because the prelude ends before ``start`` and each kernel
+        placement starts in ``[start, start + period)``, as the
+        scheduler builds them.
         """
         if iterations < 0:
             raise SchedulingError("iterations must be >= 0")
-        sched = Schedule(self.processors)
-        for p in self.prelude:
+        ops: list[list[Op]] = [[] for _ in range(self.processors)]
+        starts: list[list[int]] = [[] for _ in range(self.processors)]
+        lats: list[list[int]] = [[] for _ in range(self.processors)]
+        for p in sorted(self.prelude):
             if p.op.iteration < iterations:
-                sched.add_placement(p)
-        lo_min = min(p.op.iteration for p in self.kernel)
-        r = 0
-        while lo_min + r * self.iter_shift < iterations:
-            for p in self.kernel:
-                it = p.op.iteration + r * self.iter_shift
-                if it < iterations:
-                    sched.add(
-                        Op(p.op.node, it),
-                        p.proc,
-                        p.start + r * self.period,
-                        p.latency,
-                    )
-            r += 1
-        return sched
+                ops[p.proc].append(p.op)
+                starts[p.proc].append(p.start)
+                lats[p.proc].append(p.latency)
+        kernel: dict[int, list[tuple[str, int, int, int]]] = {}
+        for p in sorted(self.kernel):
+            kernel.setdefault(p.proc, []).append(
+                (p.op.node, p.op.iteration, p.start, p.latency)
+            )
+        for j, cells in kernel.items():
+            row, row_starts, row_lats = ops[j], starts[j], lats[j]
+            first = min(it for _, it, _, _ in cells)
+            shifts = range(0, iterations - first, self.iter_shift)
+            for r, di in enumerate(shifts):
+                dt = r * self.period
+                for node, it, start, lat in cells:
+                    if it + di < iterations:
+                        row.append(Op(node, it + di))
+                        row_starts.append(start + dt)
+                        row_lats.append(lat)
+        return ops, starts, lats
+
+    def expand(self, iterations: int) -> Schedule:
+        """Unroll the pattern into a complete schedule for ``[0, N)``.
+
+        The schedule is built from :meth:`rows`.
+        """
+        return Schedule.from_rows(*self.rows(iterations))
 
     def describe(self) -> str:
         """One-line human summary."""

@@ -16,6 +16,7 @@ benchmark in the repository:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable
 
 from repro._types import Op
@@ -50,7 +51,19 @@ class Placement:
 
 
 class Schedule:
-    """A complete assignment of op instances to processors and cycles."""
+    """A complete assignment of op instances to processors and cycles.
+
+    A schedule built by :meth:`from_rows` holds only per-processor rows
+    of ops, start times and latencies; its :class:`Placement` objects
+    are built on the first placement-level access (``placement``,
+    ``start``, ``ops_on``, ``placements``, ``add``, ...).  ``makespan``,
+    ``order``, ``used_processors`` and ``len`` read the rows directly.
+    """
+
+    #: ``(rows, starts, latencies)`` of a schedule whose placements are
+    #: not built yet, else ``None``.  A class attribute, so a schedule
+    #: pickled before rows existed unpickles as a built one.
+    _rows: tuple | None = None
 
     def __init__(self, processors: int) -> None:
         if processors < 1:
@@ -59,6 +72,47 @@ class Schedule:
         self._by_op: dict[Op, Placement] = {}
         self._by_proc: list[list[Placement]] = [[] for _ in range(processors)]
         self._sorted = True
+
+    @classmethod
+    def from_rows(
+        cls,
+        rows: list[list[Op]],
+        starts: list[list[int]],
+        latencies: list[list[int]],
+    ) -> "Schedule":
+        """A schedule given row by row, one row per processor.
+
+        ``rows[j]`` lists processor ``j``'s ops in start order, and
+        ``starts[j]`` / ``latencies[j]`` their start cycles and
+        latencies.  The lists are kept, not copied.
+        """
+        if len(rows) < 1:
+            raise ValidationError("schedule needs >= 1 processor")
+        sched = cls.__new__(cls)
+        sched.processors = len(rows)
+        sched._sorted = True
+        sched._rows = (rows, starts, latencies)
+        return sched
+
+    def __getattr__(self, name: str):
+        # Only reached for attributes that are not set: the placement
+        # tables of a schedule built from rows, before their first use.
+        if name not in ("_by_op", "_by_proc"):
+            raise AttributeError(name)
+        rows = self._rows
+        if rows is not None:  # else another thread built them meanwhile
+            by_op: dict[Op, Placement] = {}
+            by_proc: list[list[Placement]] = []
+            for j, (ops, starts, lats) in enumerate(zip(*rows)):
+                row = [
+                    Placement(start, j, op, lat)
+                    for op, start, lat in zip(ops, starts, lats)
+                ]
+                by_op.update(zip(ops, row))
+                by_proc.append(row)
+            self._by_op, self._by_proc = by_op, by_proc
+            self._rows = None
+        return self.__dict__[name]
 
     # ------------------------------------------------------------------
     # construction / access
@@ -85,6 +139,9 @@ class Schedule:
         return op in self._by_op
 
     def __len__(self) -> int:
+        rows = self._rows
+        if rows is not None:
+            return sum(map(len, rows[0]))
         return len(self._by_op)
 
     def placement(self, op: Op) -> Placement:
@@ -116,9 +173,19 @@ class Schedule:
 
     def makespan(self) -> int:
         """Total cycles: max finish time over all ops (0 if empty)."""
+        rows = self._rows
+        if rows is not None:
+            _, starts, lats = rows
+            return max(
+                (max(map(add, s, l)) for s, l in zip(starts, lats) if s),
+                default=0,
+            )
         return max((p.end for p in self._by_op.values()), default=0)
 
     def used_processors(self) -> list[int]:
+        rows = self._rows
+        if rows is not None:
+            return [j for j, ops in enumerate(rows[0]) if ops]
         return [j for j in range(self.processors) if self._by_proc[j]]
 
     def assignment(self) -> dict[Op, int]:
@@ -127,6 +194,9 @@ class Schedule:
 
     def order(self) -> list[list[Op]]:
         """Per-processor op sequences in start order (for the simulator)."""
+        rows = self._rows
+        if rows is not None:
+            return [list(ops) for ops in rows[0]]
         self._ensure_sorted()
         return [[p.op for p in row] for row in self._by_proc]
 

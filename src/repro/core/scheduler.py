@@ -124,19 +124,17 @@ class ScheduledLoop:
             return self._doall_program(iterations)
         assert self.plan is not None
 
-        expanded = self.pattern.expand(iterations)
+        ops, starts, _ = self.pattern.rows(iterations)
         used = self.cyclic_processors
-        compact = {orig: i for i, orig in enumerate(used)}
-        cyclic_rows: list[list[Op]] = [
-            [p.op for p in expanded.ops_on(orig)] for orig in used
-        ]
-
         if self.plan.fold_into is not None:
             return self._folded_program(
-                expanded, cyclic_rows, compact, iterations
+                [ops[orig] for orig in used],
+                [starts[orig] for orig in used],
+                used.index(self.plan.fold_into),
+                iterations,
             )
 
-        rows = cyclic_rows
+        rows = [ops[orig] for orig in used]
         c = self.classification
         if self.plan.flow_in_procs:
             rows += noncyclic_program(
@@ -166,9 +164,9 @@ class ScheduledLoop:
 
     def _folded_program(
         self,
-        expanded: Schedule,
         cyclic_rows: list[list[Op]],
-        compact: dict[int, int],
+        cyclic_starts: list[list[int]],
+        fold_proc: int,
         iterations: int,
     ) -> list[list[Op]]:
         """Merge non-Cyclic ops into the chosen Cyclic processor.
@@ -178,9 +176,11 @@ class ScheduledLoop:
         that are guaranteed deadlock-free (the emission order itself is
         a consistent global history).  Priorities steer non-Cyclic ops
         toward their deadlines but do not affect correctness.
+
+        ``cyclic_rows`` are the Cyclic processors' rows (compact
+        numbering) and ``cyclic_starts`` their nominal pattern starts;
+        ``fold_proc`` is the row that takes the non-Cyclic ops.
         """
-        assert self.plan is not None and self.plan.fold_into is not None
-        fold_proc = compact[self.plan.fold_into]
         c = self.classification
         graph = self.graph
 
@@ -189,16 +189,16 @@ class ScheduledLoop:
             for i in range(iterations)
             for n in (*c.flow_in, *c.flow_out)
         ]
-        cyclic_ops = {op for row in cyclic_rows for op in row}
-        all_ops = cyclic_ops | set(noncyclic)
-
         # priorities: cyclic ops keep their expanded nominal start;
         # flow-in ops aim just before their earliest consumer; flow-out
         # ops just after their latest producer.
         rate = self.pattern.cycles_per_iteration() if self.pattern else 1.0
         prio: dict[Op, float] = {}
-        for op in cyclic_ops:
-            prio[op] = float(expanded.start(op))
+        proc_of_cyclic: dict[Op, int] = {}
+        for j, (row, row_starts) in enumerate(zip(cyclic_rows, cyclic_starts)):
+            prio.update(zip(row, map(float, row_starts)))
+            proc_of_cyclic.update(dict.fromkeys(row, j))
+        all_ops = set(prio) | set(noncyclic)
         fi_set = set(c.flow_in)
         fi_pos = {n: i for i, n in enumerate(subset_order(graph, c.flow_in))}
         fo_pos = {n: i for i, n in enumerate(subset_order(graph, c.flow_out))}
@@ -258,10 +258,6 @@ class ScheduledLoop:
         released_chain: set[Op] = set()
 
         rows: list[list[Op]] = [[] for _ in range(len(cyclic_rows))]
-        proc_of_cyclic: dict[Op, int] = {}
-        for orig, j in compact.items():
-            for p in expanded.ops_on(orig):
-                proc_of_cyclic[p.op] = j
 
         emitted = 0
         while heap:

@@ -37,6 +37,16 @@ class CommModel:
         """Actual cost of the message carrying ``src``'s value on ``edge``."""
         raise NotImplementedError
 
+    def runtime_cost_varies(self) -> bool:
+        """Whether two messages on one edge may cost different run times.
+
+        ``False`` lets the simulator charge one ``runtime_cost`` per
+        edge instead of one per message.  The default is the safe
+        answer; a model that overrides :meth:`runtime_cost` must keep
+        this in step.
+        """
+        return True
+
     def max_compile_cost(self) -> int:
         """Upper bound ``k`` on compile-time costs (configuration height)."""
         raise NotImplementedError
@@ -51,6 +61,9 @@ class ZeroComm(CommModel):
 
     def runtime_cost(self, edge: Edge, src: Op) -> int:
         return 0
+
+    def runtime_cost_varies(self) -> bool:
+        return False
 
     def max_compile_cost(self) -> int:
         return 0
@@ -78,6 +91,9 @@ class UniformComm(CommModel):
 
     def runtime_cost(self, edge: Edge, src: Op) -> int:
         return self._base(edge)
+
+    def runtime_cost_varies(self) -> bool:
+        return False
 
     def max_compile_cost(self) -> int:
         return self.k
@@ -121,6 +137,9 @@ class FluctuatingComm(CommModel):
         key = f"{self.seed}|{edge.src}|{edge.dst}|{edge.distance}|{src.iteration}"
         h = hashlib.blake2b(key.encode(), digest_size=8).digest()
         return base + int.from_bytes(h, "big") % self.mm
+
+    def runtime_cost_varies(self) -> bool:
+        return self.mm > 1 and self.mode == "uniform"
 
     def max_compile_cost(self) -> int:
         return self.k

@@ -8,13 +8,33 @@ in-order execution), execution times satisfy a simple recurrence::
                      max over predecessors p of
                          end(p) + [proc(p) != proc(op)] * cost(edge, p) )
 
-:func:`evaluate` solves it by a dependency-driven forward pass and
-returns a full :class:`~repro.core.schedule.Schedule` with concrete
-start times.  With ``use_runtime=True`` the per-message *run-time*
-communication cost is charged (possibly fluctuating) instead of the
-compile-time estimate — that is the paper's "simulated multiprocessor".
-The event-driven engine (:mod:`repro.sim.engine`) computes the same
-times operationally; the test suite cross-checks the two.
+:func:`evaluate` solves it in two steps:
+
+1. *Lowering* (:func:`_lower`).  The program is numbered row-major,
+   processor by processor, and flattened once into integer lists:
+   each op's latency, and each op's in-program predecessors as
+   ``(index, cost)`` pairs, where the cost is 0 on the same processor
+   and the message cost otherwise.  A message cost is taken once per
+   edge when it cannot depend on the iteration
+   (:meth:`~repro.machine.comm.CommModel.runtime_cost_varies`), and
+   once per message when it can.
+2. *Solve.*  A worklist over processors advances each one along its
+   row while the head's predecessors have finished; a processor whose
+   head waits on an unfinished op parks on that op and is woken when
+   it finishes.  No ``Op``, ``Placement`` or ``Schedule.add`` is
+   touched in the loop.
+
+The result is a :class:`~repro.core.schedule.Schedule` built from the
+solved rows (:meth:`~repro.core.schedule.Schedule.from_rows`):
+``makespan()`` reads the arrays, and the :class:`Placement` objects are
+only built when a caller first asks for one (the engine-agreement
+oracle, Gantt charts, trace export).
+
+With ``use_runtime=True`` the per-message *run-time* communication
+cost is charged (possibly fluctuating) instead of the compile-time
+estimate — that is the paper's "simulated multiprocessor".  The
+event-driven engine (:mod:`repro.sim.engine`) computes the same times
+operationally; the test suite cross-checks the two.
 
 A cyclic waiting chain (op A waits for a message from an op that is
 queued behind A's own processor-order successor, etc.) is reported as
@@ -24,7 +44,7 @@ can never deadlock, so this doubles as a codegen sanity check.
 
 from __future__ import annotations
 
-from collections import deque
+from itertools import accumulate, chain
 from typing import Sequence
 
 from repro._types import Op
@@ -68,6 +88,65 @@ def _reconstruct_messages(
     return messages
 
 
+def _lower(
+    graph: DependenceGraph,
+    rows: list[list[Op]],
+    bounds: list[int],
+    comm: CommModel,
+    use_runtime: bool,
+) -> tuple[list[int], list[tuple[tuple[int, int], ...]]]:
+    """Number the program row-major and flatten it to integer lists.
+
+    Returns each op's latency and its in-program predecessors as
+    ``(index, message cost)`` pairs.  A predecessor earlier in the same
+    row is left out: program order already waits for it.  One later in
+    the same row stays, at cost 0, so the solve sees the deadlock.
+    """
+    ops = list(chain.from_iterable(rows))
+    # op (node, it) has index position[node][it]
+    position: dict[str, dict[int, int]] = {name: {} for name in graph}
+    for k, (node, it) in enumerate(ops):
+        position[node][it] = k
+    # each node's predecessor edges with the edge's message cost, or
+    # None when every message must be priced on its own
+    per_message = use_runtime and comm.runtime_cost_varies()
+    node_preds = {}
+    for name in graph:
+        edges = []
+        for e in graph.predecessors(name):
+            if per_message:
+                cost = None
+            elif use_runtime:
+                cost = comm.runtime_cost(e, Op(e.src, 0))
+            else:
+                cost = comm.compile_cost(e)
+            edges.append((position[e.src], e.distance, e, cost))
+        node_preds[name] = edges
+    latency = {name: graph.latency(name) for name in graph}
+    lats = [latency[node] for node, _ in ops]
+    # tuples of ints, which the cyclic collector stops tracking, so the
+    # lowered program adds no long-lived objects for it to rescan
+    preds: list[tuple[tuple[int, int], ...]] = []
+    k = 0
+    for row_lo, row_hi, row in zip(bounds, bounds[1:], rows):
+        for node, it in row:
+            entry = []
+            for where, distance, edge, cost in node_preds[node]:
+                pi = where.get(it - distance)
+                if pi is None:  # live-in, or not in the program
+                    continue
+                if row_lo <= pi < row_hi:  # same processor: no message
+                    if pi < k:
+                        continue
+                    cost = 0
+                elif cost is None:
+                    cost = comm.runtime_cost(edge, ops[pi])
+                entry.append((pi, cost))
+            preds.append(tuple(entry))
+            k += 1
+    return lats, preds
+
+
 def evaluate(
     graph: DependenceGraph,
     order: Sequence[Sequence[Op]],
@@ -84,73 +163,59 @@ def evaluate(
     """
     proc_of = validate_program(graph, order)
     processors = len(order)
+    rows = [list(row) for row in order]
+    # processor j's row holds indices bounds[j] .. bounds[j + 1] - 1
+    bounds = list(accumulate(map(len, rows), initial=0))
+    n = bounds[-1]
+    lats, preds = _lower(graph, rows, bounds, comm, use_runtime)
 
-    # remaining unplaced predecessors *within the program* per op
-    remaining: dict[Op, int] = {}
-    dependents: dict[Op, list[Op]] = {}
-    for op in proc_of:
-        cnt = 0
-        for pred, _edge in graph.instance_predecessors(op):
-            if pred in proc_of:
-                cnt += 1
-                dependents.setdefault(pred, []).append(op)
-        remaining[op] = cnt
-
-    sched = Schedule(processors)
-    ptr = [0] * processors
+    # -- solve: advance each processor while its head is ready
+    starts = [0] * n
+    ends = [0] * n  # 0 = not executed yet (every latency is >= 1)
+    ptr, stops = bounds[:-1], bounds[1:]
     proc_end = [0] * processors
-    queue: deque[int] = deque(range(processors))
-    queued = [True] * processors
-    placed = 0
-
-    def head_ready(j: int) -> bool:
-        if ptr[j] >= len(order[j]):
-            return False
-        return remaining[order[j][ptr[j]]] == 0
-
-    while queue:
-        j = queue.popleft()
-        queued[j] = False
-        while head_ready(j):
-            op = order[j][ptr[j]]
-            start = proc_end[j]
-            for pred, edge in graph.instance_predecessors(op):
-                if pred not in proc_of:
-                    continue
-                pp = sched.placement(pred)
-                avail = pp.end
-                if pp.proc != j:
-                    avail += (
-                        comm.runtime_cost(edge, pred)
-                        if use_runtime
-                        else comm.compile_cost(edge)
-                    )
+    waiters: list[list[int] | None] = [None] * n
+    ready = list(range(processors))
+    while ready:
+        j = ready.pop()
+        k, stop, t = ptr[j], stops[j], proc_end[j]
+        while k < stop:
+            start = t
+            for pi, cost in preds[k]:
+                avail = ends[pi]
+                if not avail:
+                    break
+                avail += cost
                 if avail > start:
                     start = avail
-            lat = graph.latency(op.node)
-            sched.add(op, j, start, lat)
-            proc_end[j] = start + lat
-            ptr[j] += 1
-            placed += 1
-            for dep in dependents.get(op, ()):  # wake waiting processors
-                remaining[dep] -= 1
-                if remaining[dep] == 0:
-                    dj = proc_of[dep]
-                    if (
-                        dj != j
-                        and not queued[dj]
-                        and ptr[dj] < len(order[dj])
-                        and order[dj][ptr[dj]] == dep
-                    ):
-                        queued[dj] = True
-                        queue.append(dj)
+            else:
+                starts[k] = start
+                t = ends[k] = start + lats[k]
+                woken = waiters[k]
+                if woken is not None:
+                    ready.extend(woken)
+                k += 1
+                continue
+            # head waits on op pi: park until pi finishes
+            if waiters[pi] is None:
+                waiters[pi] = [j]
+            else:
+                waiters[pi].append(j)
+            break
+        ptr[j], proc_end[j] = k, t
 
-    if placed != len(proc_of):
-        stuck = [
-            order[j][ptr[j]] for j in range(processors) if ptr[j] < len(order[j])
-        ]
+    # a deadlocked run keeps the executed prefix of every row
+    executed = [b - a for a, b in zip(bounds, ptr)]
+    sched = Schedule.from_rows(
+        [row[:m] for row, m in zip(rows, executed)],
+        [starts[a:b] for a, b in zip(bounds, ptr)],
+        [lats[a:b] for a, b in zip(bounds, ptr)],
+    )
+    placed = sum(executed)
+    if placed != n:
+        stuck = [row[m] for row, m in zip(rows, executed) if m < len(row)]
         err = DeadlockError(
-            f"program deadlocked with {len(proc_of) - placed} ops "
+            f"program deadlocked with {n - placed} ops "
             f"unexecuted; stuck heads: {stuck[:5]}"
         )
         err.trace = ExecutionTrace(

@@ -225,6 +225,73 @@ class TestFuzzGeneratedCases:
         ]
 
 
+class TestDeadlockParity:
+    """Both simulators agree on which programs deadlock, and on what a
+    deadlocked run did before it hung."""
+
+    @staticmethod
+    def _outcome(run, g, prog, comm):
+        from repro.errors import DeadlockError
+
+        try:
+            run(g, prog, comm, use_runtime=True)
+        except DeadlockError as exc:
+            return exc
+        return None
+
+    @given(loop_graphs(max_nodes=6), st.data())
+    @settings(max_examples=40)
+    def test_swapped_ops_deadlock_alike(self, g, data):
+        s = schedule_loop(g, Machine(3, UniformComm(2)))
+        prog = [list(row) for row in s.program(6)]
+        rows = [j for j, row in enumerate(prog) if len(row) >= 2]
+        if not rows:
+            return
+        j = data.draw(st.sampled_from(rows))
+        a, b = data.draw(
+            st.lists(
+                st.integers(0, len(prog[j]) - 1),
+                min_size=2,
+                max_size=2,
+                unique=True,
+            )
+        )
+        prog[j][a], prog[j][b] = prog[j][b], prog[j][a]
+        for comm in (
+            UniformComm(2),
+            FluctuatingComm(k=2, mm=3, mode="uniform", seed=13),
+        ):
+            fast = self._outcome(evaluate, g, prog, comm)
+            slow = self._outcome(simulate, g, prog, comm)
+            assert (fast is None) == (slow is None)
+            if fast is None:
+                continue
+            fast_run, slow_run = fast.trace, slow.trace
+            assert (
+                fast_run.schedule.placements()
+                == slow_run.schedule.placements()
+            )
+
+            def by_pair(messages):
+                return sorted(messages, key=lambda m: (m.src, m.dst))
+
+            assert by_pair(fast_run.messages) == by_pair(slow_run.messages)
+
+            # the message names the unexecuted count and the first five
+            # stuck heads, in processor order
+            ran = set(slow_run.schedule.ops())
+            stuck = [
+                next(op for op in row if op not in ran)
+                for row in prog
+                if any(op not in ran for op in row)
+            ]
+            unexecuted = sum(len(row) for row in prog) - len(ran)
+            assert str(fast) == (
+                f"program deadlocked with {unexecuted} ops unexecuted; "
+                f"stuck heads: {stuck[:5]}"
+            )
+
+
 class TestDeadlockTraceExport:
     """A deadlocked run must still yield an exportable partial trace:
     both simulators attach everything that *did* execute (and every
@@ -271,3 +338,20 @@ class TestDeadlockTraceExport:
         obj = to_chrome_trace([], extra_events=sim_segment_events(segments))
         assert validate_chrome_trace(obj) == []
         assert obj["traceEvents"]  # the partial run is actually visible
+
+    def test_evaluate_deadlock_message(self):
+        from repro.errors import DeadlockError
+        from repro.graph.ddg import DependenceGraph
+
+        g = DependenceGraph("dl7")
+        g.add_node("A", 1)
+        g.add_node("B", 1)
+        g.add_edge("A", "B")
+        # seven processors, each with B queued ahead of its own A
+        order = [[Op("B", i), Op("A", i)] for i in range(7)]
+        with pytest.raises(DeadlockError) as excinfo:
+            evaluate(g, order, UniformComm(2))
+        heads = ", ".join(f"Op(node='B', iteration={i})" for i in range(5))
+        assert str(excinfo.value) == (
+            f"program deadlocked with 14 ops unexecuted; stuck heads: [{heads}]"
+        )

@@ -101,6 +101,59 @@ class TestDiskCache:
         assert DiskCache(str(tmp_path)).get("k").artifacts["x"] == "v"
 
 
+class TestDiskCacheSchedules:
+    """Evaluation artifacts (``Schedule``) across pickle layouts."""
+
+    def test_schedule_in_placement_layout_still_loads(self, tmp_path):
+        # A schedule pickled with only the placement tables, the state
+        # every schedule had before schedules could be held as rows.
+        from repro._types import Op
+        from repro.core.schedule import Placement, Schedule
+
+        placements = [
+            Placement(0, 0, Op("A", 0), 1),
+            Placement(1, 1, Op("B", 0), 2),
+            Placement(3, 0, Op("A", 1), 1),
+        ]
+        old = Schedule.__new__(Schedule)
+        old.__dict__.update(
+            processors=2,
+            _by_op={p.op: p for p in placements},
+            _by_proc=[[placements[0], placements[2]], [placements[1]]],
+            _sorted=True,
+        )
+        d = DiskCache(str(tmp_path))
+        d.put("old", CacheEntry({"evaluation": old}, {}, ()))
+        got = d.get("old").artifacts["evaluation"]
+        assert got.makespan() == 4
+        assert got.placement(Op("B", 0)) == placements[1]
+        assert got.order() == [[Op("A", 0), Op("A", 1)], [Op("B", 0)]]
+        assert len(got) == 3 and got.used_processors() == [0, 1]
+
+    def test_row_schedule_roundtrips(self, tmp_path):
+        from repro._types import Op
+        from repro.graph.ddg import DependenceGraph
+        from repro.machine.comm import UniformComm
+        from repro.sim.fastpath import evaluate
+
+        g = DependenceGraph()
+        g.add_node("A", 1)
+        g.add_node("B", 2)
+        g.add_edge("A", "B")
+        g.add_edge("B", "A", distance=1)
+        order = [[Op("A", i) for i in range(3)], [Op("B", i) for i in range(3)]]
+        lazy = evaluate(g, order, UniformComm(2))
+        built = evaluate(g, order, UniformComm(2))
+        built.placements()  # builds the placement tables
+        d = DiskCache(str(tmp_path))
+        d.put("lazy", CacheEntry({"evaluation": lazy}, {}, ()))
+        got = d.get("lazy").artifacts["evaluation"]
+        assert got.makespan() == built.makespan() == 19
+        assert got.order() == built.order() == order
+        assert got.placements() == built.placements()
+        assert got.ops_on(1) == built.ops_on(1)
+
+
 class TestTieredCache:
     def test_is_an_artifact_cache(self, tmp_path):
         from repro.pipeline import ArtifactCache

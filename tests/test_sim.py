@@ -184,3 +184,16 @@ class TestCrossCheck:
         slow = simulate(g, order, comm, use_runtime=False)
         for op in fast.ops():
             assert fast.start(op) == slow.schedule.start(op)
+
+    def test_engines_agree_on_benchmark_program(self):
+        from repro.core.scheduler import schedule_loop
+        from repro.workloads import livermore18
+
+        w = livermore18()
+        prog = schedule_loop(w.graph, w.machine).program(200)
+        fast = evaluate(w.graph, prog, w.machine.comm)
+        slow = simulate(w.graph, prog, w.machine.comm, use_runtime=False)
+        assert fast.makespan() == slow.schedule.makespan()
+        assert len(fast) == len(slow.schedule) == sum(map(len, prog))
+        for op in fast.ops():
+            assert fast.start(op) == slow.schedule.start(op), op
