@@ -598,7 +598,8 @@ _OPTIONS: dict[str, dict[str, Any]] = {
                    help="also print Fig. 10-style partitioned code"),
     "--workers": dict(type=int, help="worker processes (campaign and "
                       "fuzz default 1: serial; chaos kill:campaign 2) or "
-                      "compile threads (serve; default pool-sized)"),
+                      "compile worker processes (serve; default one per "
+                      "CPU)"),
     "--shard": dict(type=_shard_spec, metavar="i/n",
                     help="execute only shard i of n (0-based)"),
     "--seeds": dict(type=_seed_list, metavar="SPEC",

@@ -199,6 +199,30 @@ class MetricsRegistry:
             },
         }
 
+    def to_payload(self) -> dict[str, Any]:
+        """Plain-dict bundle of every instrument, raw histogram samples
+        included, for pickling home from a worker process."""
+        with self._lock:
+            counters = dict(self._counters)
+            gauges = dict(self._gauges)
+            histograms = dict(self._histograms)
+        return {
+            "counters": {n: c.value for n, c in counters.items()},
+            "gauges": {n: g.value for n, g in gauges.items()},
+            "histograms": {n: h.samples() for n, h in histograms.items()},
+        }
+
+    def merge(self, payload: dict[str, Any]) -> None:
+        """Record a :meth:`to_payload` bundle into this registry."""
+        for name, value in payload["counters"].items():
+            self.counter(name).inc(value)
+        for name, value in payload["gauges"].items():
+            self.gauge(name).set(value)
+        for name, samples in payload["histograms"].items():
+            histogram = self.histogram(name)
+            for value in samples:
+                histogram.observe(value)
+
 
 _REGISTRY = MetricsRegistry()
 

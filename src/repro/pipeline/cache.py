@@ -235,6 +235,14 @@ class ArtifactCache:
                 "misses": self.misses,
             }
 
+    def fresh(self) -> "ArtifactCache":
+        """An empty cache of the same configuration, sharing no lock.
+
+        Takes no lock itself, so a forked worker can call it on the
+        copy of a cache another thread held at fork time.
+        """
+        return ArtifactCache(self.maxsize)
+
 
 _DEFAULT_CACHE = ArtifactCache(maxsize=512)
 

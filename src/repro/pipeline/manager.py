@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import asyncio
 import functools
+import os
 import time
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Sequence
@@ -36,7 +37,7 @@ from repro.pipeline.context import PRODUCERS, CompilationContext
 from repro.pipeline.passes import Pass, PassOutput
 from repro.pipeline.report import PassRecord, PipelineReport
 
-__all__ = ["PassManager", "collect_reports", "last_report"]
+__all__ = ["PassManager", "collect_reports", "last_report", "publish_report"]
 
 #: Per-pass progress event, delivered to ``run(..., progress=)``:
 #: ``{"pass", "index", "total", "cache_hit", "seconds", "key"}``.
@@ -47,6 +48,10 @@ _INPUT_KEYS = ("source", "loop", "graph", "original_graph", "unwound")
 
 _COLLECTORS: list[list[PipelineReport]] = []
 _LAST_REPORT: list[PipelineReport] = []
+# A forked child reports to its own collectors, not to copies of its
+# parent's that nobody reads.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_COLLECTORS.clear)
 
 
 @contextmanager
@@ -75,6 +80,18 @@ def collect_reports() -> Iterator[list[PipelineReport]]:
 def last_report() -> PipelineReport | None:
     """The most recent report produced by any PassManager, if any."""
     return _LAST_REPORT[-1] if _LAST_REPORT else None
+
+
+def publish_report(report: PipelineReport) -> None:
+    """Make ``report`` the last report and add it to every collector.
+
+    Every :meth:`PassManager.run` publishes its report; the serve
+    daemon publishes the reports its worker processes ship home.
+    """
+    _LAST_REPORT.append(report)
+    del _LAST_REPORT[:-1]
+    for sink in _COLLECTORS:
+        sink.append(report)
 
 
 class PassManager:
@@ -231,10 +248,7 @@ class PassManager:
             passes=tuple(records), diagnostics=tuple(ctx.diagnostics)
         )
         ctx.report = report
-        _LAST_REPORT.append(report)
-        del _LAST_REPORT[:-1]
-        for sink in _COLLECTORS:
-            sink.append(report)
+        publish_report(report)
         return report
 
     # ------------------------------------------------------------------

@@ -210,3 +210,6 @@ class TieredCache(ArtifactCache):
         s = super().stats()
         s["disk"] = self.disk.stats()  # type: ignore[assignment]
         return s
+
+    def fresh(self) -> "TieredCache":
+        return TieredCache(DiskCache(self.disk.root), self.maxsize)

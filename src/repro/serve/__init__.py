@@ -12,7 +12,8 @@ scheduling cost the way speculative-DOACROSS runtimes do:
   transport-independent core: admission control, request-level
   single-flight coalescing, response caching in the
   :class:`~repro.runner.diskcache.TieredCache`, per-client metrics,
-  and chaos-driven worker-crash requeue;
+  a pool of forked compile worker processes, and worker-crash
+  requeue;
 * :mod:`repro.serve.server` — a stdlib-asyncio HTTP/1.1 server over
   the service, with per-pass progress streaming and graceful
   shutdown;
@@ -24,9 +25,9 @@ Request lifecycle (DESIGN.md §11)::
     admission (chain key, queue room) -> single flight per key
         -> warm hit:   answered straight from the TieredCache
         -> coalesced:  await the in-flight leader
-        -> miss:       pipeline runs on a compile worker thread,
-                       progress events stream back pass by pass;
-                       a crashed worker re-queues the request
+        -> miss:       pipeline runs in a forked compile worker
+                       process, progress events stream back pass by
+                       pass; a crashed worker re-queues the request
 """
 
 from repro.serve.client import AsyncConnection, request_json

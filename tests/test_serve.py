@@ -9,6 +9,9 @@ one pipeline execution.
 
 import asyncio
 import json
+import multiprocessing
+import os
+import signal
 import threading
 
 import pytest
@@ -17,6 +20,16 @@ from hypothesis import strategies as st
 
 from repro.chaos import FaultPlan, WorkerCrash
 from repro.errors import AdmissionError, ServeError
+from repro.obs import (
+    MetricsRegistry,
+    Tracer,
+    registry,
+    set_registry,
+    to_chrome_trace,
+    use_tracer,
+    validate_chrome_trace,
+)
+from repro.pipeline import EvaluatePass, default_cache
 from repro.serve import CompileService, ServeConfig, parse_request
 from repro.serve.protocol import build_context
 from repro.workloads.examples import FIG7_SOURCE
@@ -315,3 +328,157 @@ class TestCacheStampede:
         assert counters.get("serve.cache_hit", 0) == 0
         statuses = sorted(r["server"]["cache"] for r in responses)
         assert statuses == ["coalesced"] * (k - 1) + ["miss"]
+
+
+# ----------------------------------------------------------------------
+class TestWorkerProcesses:
+    """Compiles run in forked worker processes; what crosses back."""
+
+    def hold_evaluate(self, monkeypatch, release, reached=None, pid=None):
+        """Make EvaluatePass wait for the semaphore ``release`` in the
+        workers forked from now on; a wait that times out fails the
+        compile.  (A semaphore, not an Event: setting an Event waits
+        for every sleeper to wake, and a killed one never does.)"""
+        original = EvaluatePass.run
+
+        def held(self, ctx, out):
+            if pid is not None:
+                pid.value = os.getpid()
+            if reached is not None:
+                reached.set()
+            if not release.acquire(timeout=30):
+                raise RuntimeError("EvaluatePass was never released")
+            return original(self, ctx, out)
+
+        monkeypatch.setattr(EvaluatePass, "run", held)
+
+    def test_workers_must_be_positive(self):
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="workers"):
+                ServeConfig(workers=bad)
+
+    def test_default_workers_is_one_per_cpu(self):
+        service = CompileService(ServeConfig())
+        try:
+            assert len(service._pool.executor._processes) == os.cpu_count()
+        finally:
+            service.close()
+
+    def test_pass_events_arrive_while_the_compile_runs(self, monkeypatch):
+        """The first pass's event reaches the loop before EvaluatePass
+        (the last pass) may finish: it is what releases it."""
+        release = multiprocessing.Semaphore(0)
+        self.hold_evaluate(monkeypatch, release)
+        service = CompileService(ServeConfig(workers=1))
+        events = []
+
+        def progress(event):
+            events.append(event)
+            if len(events) == 1:
+                release.release()
+
+        try:
+            resp = run(
+                service.submit(
+                    {"workload": "fig7", "iterations": 61}, progress=progress
+                )
+            )
+        finally:
+            service.close()
+        assert resp["ok"]
+        assert [e["pass"] for e in events] == resp["result"]["passes"]
+
+    def test_killed_worker_is_replaced_and_request_succeeds(
+        self, monkeypatch
+    ):
+        payload = {"workload": "fig7", "iterations": 62}
+        fault_free = TestWorkerCrashRequeue().reference(payload)
+
+        release = multiprocessing.Semaphore(0)
+        reached = multiprocessing.Event()
+        pid = multiprocessing.Value("i", 0)
+        self.hold_evaluate(monkeypatch, release, reached, pid)
+        service = CompileService(ServeConfig(workers=2))
+
+        async def scenario():
+            task = asyncio.ensure_future(service.submit(dict(payload)))
+            loop = asyncio.get_running_loop()
+            assert await loop.run_in_executor(None, reached.wait, 30)
+            os.kill(pid.value, signal.SIGKILL)
+            release.release()  # for the attempt's re-run
+            return await task
+
+        try:
+            resp = run(scenario())
+        finally:
+            service.close()
+        assert resp["ok"]
+        assert canonical(resp["result"]) == canonical(fault_free["result"])
+        counters = service.metrics.snapshot()["counters"]
+        assert counters["serve.worker_crashes"] == 1
+        assert counters["serve.pipeline_runs"] == 1
+
+    def test_fork_takes_no_lock_a_parent_thread_holds(self):
+        """Workers forked while another thread holds the default cache
+        and the metrics registry still compile (traced, so the worker
+        records pass metrics)."""
+        held, release = threading.Event(), threading.Event()
+
+        def holder():
+            with default_cache()._lock, registry()._lock:
+                held.set()
+                release.wait(timeout=60)
+
+        thread = threading.Thread(target=holder, daemon=True)
+        thread.start()
+        assert held.wait(timeout=10)
+        service = CompileService(ServeConfig(workers=1))
+        previous = set_registry(MetricsRegistry())
+        try:
+            with use_tracer(Tracer()):
+                resp = run(
+                    asyncio.wait_for(
+                        service.submit({"workload": "fig3", "iterations": 47}),
+                        timeout=60,
+                    )
+                )
+        except asyncio.TimeoutError:
+            # Unwedge the close below: free the locks, then kill the
+            # stuck worker so its replacement forks without them.
+            release.set()
+            thread.join(timeout=10)
+            for proc in list(service._pool.executor._processes.values()):
+                proc.kill()
+            raise
+        finally:
+            set_registry(previous)
+            release.set()
+            service.close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert resp["ok"]
+
+    def test_traced_attempt_ships_spans_and_metrics_home(self):
+        tracer, metrics = Tracer(), MetricsRegistry()
+        service = CompileService(ServeConfig(workers=2))
+        previous = set_registry(metrics)
+        try:
+            with use_tracer(tracer):
+                resp = run(
+                    service.submit({"workload": "fig7", "iterations": 63})
+                )
+        finally:
+            set_registry(previous)
+            service.close()
+        spans = tracer.finished()
+        (request,) = [s for s in spans if s.cat == "request"]
+        passes = [s for s in spans if s.cat == "pass"]
+        assert [s.name for s in passes] == resp["result"]["passes"]
+        assert all(s.parent is request for s in passes)
+        assert request.pid != os.getpid()  # recorded in a worker
+        assert request.args["attempt"] == 1
+        assert request.args["key"] == resp["result"]["key"]
+        assert not validate_chrome_trace(to_chrome_trace(spans))
+        snap = metrics.snapshot()
+        assert snap["counters"]["pipeline.passes_executed"] == len(passes)
+        assert snap["histograms"]["pass.EvaluatePass.seconds"]["count"] == 1
