@@ -55,23 +55,6 @@ def _edge_terms(graph: DependenceGraph, machine: Machine):
     ]
 
 
-def _delay_of(
-    graph: DependenceGraph,
-    terms,
-    pos_start: dict[str, int],
-) -> int:
-    delay = 0
-    for src, dst, comm, dist in terms:
-        need = (
-            pos_start[src]
-            + graph.latency(src)
-            + comm
-            - pos_start[dst]
-        )
-        delay = max(delay, math.ceil(need / dist))
-    return delay
-
-
 def _exhaustive(
     graph: DependenceGraph, machine: Machine
 ) -> tuple[str, ...]:

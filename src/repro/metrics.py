@@ -17,8 +17,6 @@ bad schedule and are reported as-is unless clamped by the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import ReproError
 from repro.graph.ddg import DependenceGraph
 
@@ -26,7 +24,6 @@ __all__ = [
     "percentage_parallelism",
     "speedup",
     "sequential_time",
-    "ComparisonRow",
 ]
 
 
@@ -55,26 +52,3 @@ def speedup(sequential: float, parallel: float) -> float:
     if parallel <= 0:
         raise ReproError(f"parallel time must be positive: {parallel}")
     return sequential / parallel
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    """One workload's ours-vs-baseline measurement."""
-
-    name: str
-    sequential: int
-    ours: int
-    baseline: int
-
-    @property
-    def sp_ours(self) -> float:
-        return percentage_parallelism(self.sequential, self.ours)
-
-    @property
-    def sp_baseline(self) -> float:
-        return percentage_parallelism(self.sequential, self.baseline)
-
-    @property
-    def factor(self) -> float:
-        """Speed ratio of our schedule over the baseline's."""
-        return self.baseline / self.ours if self.ours else float("inf")

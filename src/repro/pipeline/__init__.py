@@ -18,7 +18,8 @@ flow.  Typical use::
 Repeat compilations of the same (source, machine, options) hit the
 process-wide artifact cache and execute zero scheduler passes — the
 ``repro-mimd stages`` subcommand demonstrates this, and
-``benchmarks/bench_pipeline_cache.py`` tracks the win.
+``tests/test_pipeline.py::TestCaching`` pins it over the workload
+suite.
 
 The legacy entry points (:func:`repro.core.scheduler.schedule_loop`,
 :func:`repro.core.normalized.schedule_any_loop`) are thin wrappers over
@@ -31,7 +32,6 @@ from repro.machine.model import Machine
 
 from repro.pipeline.cache import (
     ArtifactCache,
-    SingleFlight,
     default_cache,
     fingerprint,
     machine_compile_fingerprint,
@@ -80,7 +80,6 @@ __all__ = [
     "PassRecord",
     "PipelineReport",
     "STANDARD_PASSES",
-    "SingleFlight",
     "aggregate_reports",
     "build_pipeline",
     "collect_reports",

@@ -30,14 +30,12 @@ from repro.machine.comm import CommModel, FluctuatingComm, UniformComm, ZeroComm
 from repro.machine.model import Machine
 from repro.obs.metrics import registry as _metrics
 from repro.obs.tracer import current_tracer as _tracer
-from repro.util.singleflight import SingleFlight
 
 from repro.pipeline.report import Diagnostic
 
 __all__ = [
     "ArtifactCache",
     "CacheEntry",
-    "SingleFlight",
     "default_cache",
     "fingerprint",
     "machine_compile_fingerprint",
@@ -133,11 +131,12 @@ class ArtifactCache:
     never mutated after construction), so entries are shared between
     compilations without copying.
 
-    All operations hold an internal :class:`threading.RLock`: the
-    process-wide :func:`default_cache` is shared by every compilation,
-    and concurrent callers (the campaign runner's serial path, user
-    threads) would otherwise race on the ``OrderedDict`` reordering
-    and the hit/miss counters.
+    All operations hold an internal :class:`threading.RLock`.  The
+    compile paths of this package (campaign workers, serve workers,
+    serial runs) each run on one thread per process, so the lock is
+    for library callers that share one cache across their own threads:
+    without it they would race on the ``OrderedDict`` reordering and
+    the hit/miss counters.
     """
 
     def __init__(self, maxsize: int = 512) -> None:
@@ -146,7 +145,6 @@ class ArtifactCache:
         self.maxsize = maxsize
         self._lock = threading.RLock()
         self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
-        self._singleflight = SingleFlight()
         self.hits = 0
         self.misses = 0
 
@@ -169,50 +167,21 @@ class ArtifactCache:
             _metrics().counter(name).inc()
         return entry
 
-    def _peek(self, key: str) -> CacheEntry | None:
-        """Lookup without touching the hit/miss statistics.
-
-        Used by :meth:`get_or_compute` for the post-flight double
-        check — the caller's original ``get`` already recorded the
-        miss, and a second bump would double-count it.
-        """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-            return entry
-
     def get_or_compute(self, key, compute):
-        """``get(key)``, computing + storing under a per-key single
-        flight on a miss.
+        """``get(key)``, computing and storing the entry on a miss.
 
-        Concurrent callers with the same key coalesce onto one
-        ``compute()`` (cache-stampede protection); the leader
-        double-checks the cache inside the flight, so a sibling that
-        published the entry between the caller's miss and the flight
-        start — another thread, or another *process* via the disk tier
-        of :class:`~repro.runner.diskcache.TieredCache` — is honoured
-        instead of recomputed.  This is what stops campaign workers
-        and serve requests sharing a chain prefix from compiling the
-        same pass twice.
-
-        Returns ``(entry, fresh)`` where ``fresh`` is ``True`` only
-        for the caller whose ``compute()`` actually ran.
+        Returns ``(entry, fresh)`` where ``fresh`` is ``True`` when
+        ``compute()`` ran.  If ``compute()`` raises, nothing is stored.
+        Passes are pure functions of their chained key, so two callers
+        that miss on the same key at once both compute the same entry;
+        no merging is needed for correctness.
         """
         entry = self.get(key)
         if entry is not None:
             return entry, False
-
-        def flight():
-            found = self._peek(key)
-            if found is not None:
-                return found, False
-            made = compute()
-            self.put(key, made)
-            return made, True
-
-        (entry, computed), leader = self._singleflight.do(key, flight)
-        return entry, computed and leader
+        entry = compute()
+        self.put(key, entry)
+        return entry, True
 
     def put(self, key: str, entry: CacheEntry) -> None:
         with self._lock:

@@ -21,8 +21,6 @@ does everything after it; correctness never depends on the cache.
 
 from __future__ import annotations
 
-import asyncio
-import functools
 import os
 import time
 from contextlib import contextmanager
@@ -195,9 +193,8 @@ class PassManager:
             with tracer.span(p.name, "pass") as span:
                 t0 = time.perf_counter()
                 if self.cache is not None and chain_ok:
-                    # Per-key single flight: concurrent compilations
-                    # sharing this chain prefix coalesce onto one pass
-                    # execution (see ArtifactCache.get_or_compute).
+                    # The chain key names the pass output exactly, so a
+                    # hit restores it without running the pass.
                     def compute(p=p):
                         out = PassOutput(p.name)
                         p.run(ctx, out)
@@ -250,28 +247,3 @@ class PassManager:
         ctx.report = report
         publish_report(report)
         return report
-
-    # ------------------------------------------------------------------
-    async def run_async(
-        self,
-        ctx: CompilationContext,
-        *,
-        progress: ProgressCallback | None = None,
-        executor=None,
-    ) -> PipelineReport:
-        """:meth:`run` off the event loop thread (asyncio-friendly).
-
-        The blocking pipeline executes in ``executor`` (the loop's
-        default thread pool when ``None``); progress events are
-        marshalled back onto the event loop with
-        ``call_soon_threadsafe``, so an async caller can forward them
-        to a stream without locking.
-        """
-        loop = asyncio.get_running_loop()
-        cb: ProgressCallback | None = None
-        if progress is not None:
-            def cb(event: dict[str, Any]) -> None:
-                loop.call_soon_threadsafe(progress, event)
-        return await loop.run_in_executor(
-            executor, functools.partial(self.run, ctx, progress=cb)
-        )

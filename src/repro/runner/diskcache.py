@@ -188,20 +188,6 @@ class TieredCache(ArtifactCache):
         super().put(key, entry)
         return entry
 
-    def _peek(self, key: str) -> CacheEntry | None:
-        # The single-flight double check must also consult the disk
-        # tier: between this process's miss and the flight start,
-        # another *process* (a sibling campaign worker) may have
-        # published the entry.  Honouring it here is the cross-process
-        # half of the duplicate-compile fix.
-        entry = super()._peek(key)
-        if entry is not None:
-            return entry
-        entry = self.disk.get(key)
-        if entry is not None:
-            super().put(key, entry)
-        return entry
-
     def put(self, key: str, entry: CacheEntry) -> None:
         super().put(key, entry)
         self.disk.put(key, entry)

@@ -14,8 +14,9 @@ once, when the service is built (before the daemon starts any
 thread), because a spawned worker would import the whole package
 again; each worker then gets process-wide state of its own (see
 :func:`_worker_init`).  All workers take attempts from one shared
-queue, so pass-level sharing between *different* requests holds
-within one worker process.
+queue and compile one at a time, so *different* requests that share a
+chain prefix share its passes through ordinary cache hits within one
+worker process.
 
 Counter contract (pinned by the cache-stampede test): for ``K``
 concurrent requests with the same chain key and a cold cache, exactly

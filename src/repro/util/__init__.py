@@ -2,16 +2,13 @@
 
 * :mod:`repro.util.io` — atomic file writes (the one implementation
   behind the obs exporters, the disk cache and the serve daemon);
-* :mod:`repro.util.singleflight` — per-key coalescing of concurrent
-  computations (cache-stampede protection for the artifact caches and
-  the serve daemon).
+* :mod:`repro.util.recordlog` — the checksummed append-only record
+  log under the disk cache, the cell journal and the signature store.
 """
 
 from repro.util.io import atomic_write_bytes, atomic_write_text
-from repro.util.singleflight import SingleFlight
 
 __all__ = [
-    "SingleFlight",
     "atomic_write_bytes",
     "atomic_write_text",
 ]

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ReproError
 from repro.metrics import (
-    ComparisonRow,
     percentage_parallelism,
     sequential_time,
     speedup,
@@ -49,11 +48,3 @@ class TestSequentialTime:
     def test_negative_rejected(self):
         with pytest.raises(ReproError):
             sequential_time(chain_graph(2), -1)
-
-
-class TestComparisonRow:
-    def test_derived_numbers(self):
-        r = ComparisonRow("w", sequential=200, ours=100, baseline=160)
-        assert r.sp_ours == 50.0
-        assert r.sp_baseline == pytest.approx(20.0)
-        assert r.factor == pytest.approx(1.6)

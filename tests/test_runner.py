@@ -180,6 +180,31 @@ class TestTieredCache:
         assert t.get("absent") is None
         assert t.stats()["misses"] == 1 and t.stats()["hits"] == 0
 
+    def test_get_or_compute_reads_disk_once(self, tmp_path):
+        disk = DiskCache(str(tmp_path))
+        t = TieredCache(disk)
+        calls = []
+
+        def compute():
+            calls.append(1)
+            return entry("v")
+
+        got, fresh = t.get_or_compute("k", compute)
+        assert fresh and len(calls) == 1
+        assert disk.stats()["misses"] == 1  # one miss, one disk read
+        assert len(t) == 1 and disk.get("k") == got  # both tiers
+        before = disk.stats()
+        again, fresh = t.get_or_compute("k", compute)
+        assert not fresh and again is got and len(calls) == 1
+        assert disk.stats() == before  # served by the memory tier
+
+        def boom():
+            raise ValueError("injected")
+
+        with pytest.raises(ValueError, match="injected"):
+            t.get_or_compute("bad", boom)
+        assert len(t) == 1 and disk.get("bad") is None  # nothing stored
+
 
 # ----------------------------------------------------------------------
 # deterministic merge: serial == parallel, bit for bit

@@ -1,12 +1,10 @@
-"""repro.util: atomic writes and the single-flight primitive."""
+"""repro.util: atomic writes."""
 
 import os
-import threading
-import time
 
 import pytest
 
-from repro.util import SingleFlight, atomic_write_bytes, atomic_write_text
+from repro.util import atomic_write_bytes, atomic_write_text
 
 
 class TestAtomicWrite:
@@ -41,89 +39,3 @@ class TestAtomicWrite:
         with open(path) as fh:
             assert fh.read() == "intact"
         assert os.listdir(tmp_path) == ["out.txt"]
-
-
-class TestSingleFlight:
-    def test_single_caller_leads(self):
-        sf = SingleFlight()
-        value, leader = sf.do("k", lambda: 42)
-        assert (value, leader) == (42, True)
-        assert sf.inflight() == 0
-
-    def test_concurrent_same_key_coalesce(self):
-        sf = SingleFlight()
-        calls = []
-        release = threading.Event()
-        arrived = threading.Event()
-
-        def compute():
-            calls.append(1)
-            arrived.set()
-            release.wait(timeout=10)
-            return "result"
-
-        results = []
-
-        def worker():
-            results.append(sf.do("k", compute))
-
-        threads = [threading.Thread(target=worker) for _ in range(6)]
-        threads[0].start()
-        assert arrived.wait(timeout=10)
-        for t in threads[1:]:
-            t.start()
-        # all followers must be registered as waiters before release
-        deadline = time.time() + 10
-        while sf.waiters("k") < 5 and time.time() < deadline:
-            time.sleep(0.001)
-        assert sf.waiters("k") == 5
-        release.set()
-        for t in threads:
-            t.join(timeout=10)
-        assert len(calls) == 1
-        assert [v for v, _ in results] == ["result"] * 6
-        assert sum(leader for _, leader in results) == 1
-
-    def test_distinct_keys_do_not_coalesce(self):
-        sf = SingleFlight()
-        assert sf.do("a", lambda: 1) == (1, True)
-        assert sf.do("b", lambda: 2) == (2, True)
-
-    def test_flight_retired_after_completion(self):
-        sf = SingleFlight()
-        sf.do("k", lambda: 1)
-        # a later call re-runs the function: no stale cached flight
-        assert sf.do("k", lambda: 2) == (2, True)
-
-    def test_error_propagates_to_leader_and_waiters(self):
-        sf = SingleFlight()
-        release = threading.Event()
-        arrived = threading.Event()
-
-        def boom():
-            arrived.set()
-            release.wait(timeout=10)
-            raise ValueError("injected")
-
-        outcomes = []
-
-        def worker():
-            try:
-                sf.do("k", boom)
-            except ValueError as exc:
-                outcomes.append(str(exc))
-
-        threads = [threading.Thread(target=worker) for _ in range(3)]
-        threads[0].start()
-        assert arrived.wait(timeout=10)
-        for t in threads[1:]:
-            t.start()
-        deadline = time.time() + 10
-        while sf.waiters("k") < 2 and time.time() < deadline:
-            time.sleep(0.001)
-        release.set()
-        for t in threads:
-            t.join(timeout=10)
-        assert outcomes == ["injected"] * 3
-        # the failed flight is retired: the key works again
-        assert sf.do("k", lambda: "ok") == ("ok", True)
