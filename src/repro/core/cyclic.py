@@ -25,10 +25,21 @@ previously placed ops on the same processor finish), which makes the
 "stable prefix" sound: a cycle is final once every processor's next
 possible placement lies beyond it.
 
-This module is the *optimized* implementation (DESIGN.md §13).  Three
-structural changes make it ~20-50x faster than the straightforward
-transcription preserved in :mod:`repro.core.cyclic_reference`, while
-producing **bit-identical** :class:`CyclicResult` patterns:
+This module is the *optimized* implementation (DESIGN.md §13).  It
+produces **bit-identical** :class:`CyclicResult` patterns to the
+straightforward transcription preserved in
+:mod:`repro.core.cyclic_reference`.  How much faster it is depends on
+what is counted (``benchmarks/bench_scheduler_fastpath.py``, checked
+in as ``BENCH_scheduler.json``):
+
+* the scheduler alone, memo off, each unique request once
+  (``algorithmic_speedup``): 1.5x to 2.9x (1.51 fuzz_replay, 2.13
+  paper_examples, 2.93 random_sweep);
+* whole request streams, memo on (``speedup``): 29x to 41x, because
+  the cross-sweep memo below answers most requests of those repeated
+  streams (329 of 336 on fuzz_replay, 105 of 112 on random_sweep).
+
+Three structural changes make up the memo-off gain:
 
 1. **Incremental configuration detection.**  Instead of rebuilding a
    ``p x (k+1)`` window key from the grid for every stable cycle

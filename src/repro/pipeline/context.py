@@ -23,6 +23,11 @@ key            value
 ``evaluation`` :class:`repro.core.schedule.Schedule` with start times
 ``code``       emitted partitioned pseudo-code (or ``None``)
 ============== =====================================================
+
+While a :class:`~repro.pipeline.manager.PassManager` runs, the context
+also carries the manager's ``cache`` and the ``chain`` of passes whose
+outputs that cache can trust, so a pass can cache intermediate work of
+its own there (``EvaluatePass`` keeps its lowered program).
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ from repro.pipeline.report import Diagnostic, PipelineReport
 if TYPE_CHECKING:  # pragma: no cover
     from repro.graph.ddg import DependenceGraph
     from repro.lang.ast import Loop
+    from repro.pipeline.cache import ArtifactCache
+    from repro.pipeline.passes import Pass
 
 __all__ = ["CompilationContext"]
 
@@ -65,6 +72,15 @@ class CompilationContext:
     artifacts: dict[str, Any] = field(default_factory=dict)
     diagnostics: list[Diagnostic] = field(default_factory=list)
     report: PipelineReport | None = None
+    #: set by PassManager.run: the cache it was given (``None`` when
+    #: uncached), and pass name -> (pass, chain key) for every pass run
+    #: so far whose output the cache can trust
+    cache: "ArtifactCache | None" = field(
+        default=None, repr=False, compare=False
+    )
+    chain: "dict[str, tuple[Pass, str]]" = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # constructors

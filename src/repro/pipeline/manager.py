@@ -181,6 +181,7 @@ class PassManager:
 
         keys = self.chain_keys(ctx)
         trusted = {k for k in _INPUT_KEYS if k in ctx.artifacts}
+        ctx.cache, ctx.chain = self.cache, {}
 
         # The null tracer's span() returns a shared no-op object, so the
         # instrumentation below is allocation-free when tracing is off
@@ -219,6 +220,8 @@ class PassManager:
                     counters = dict(out.counters)
                     if chain_ok:
                         trusted.update(out.artifacts)
+                if chain_ok:
+                    ctx.chain[p.name] = (p, chain)
                 seconds = time.perf_counter() - t0
                 records.append(PassRecord(p.name, seconds, cached, counters))
                 span.set("cache_hit", cached)

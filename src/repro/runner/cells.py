@@ -17,7 +17,7 @@ rich result objects deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping
 
 from repro.errors import ReproError
@@ -146,13 +146,35 @@ def _measure_payload(m) -> dict[str, Any]:
     }
 
 
+def _random_cyclic_workload(seed: int, **machine: Any):
+    """``random_cyclic_loop(seed, **machine)``, generated once per seed.
+
+    The generated Cyclic subgraph depends only on the seed and the
+    generator options (the defaults, for these cells), never on the
+    machine.  So the loop is kept in the process-wide artifact cache,
+    and every other cell of the seed builds only its own machine.
+    """
+    from repro.pipeline.cache import CacheEntry, default_cache, stable_hash
+    from repro.workloads import random_cyclic_loop
+    from repro.workloads.random_loops import table1_machine
+
+    entry, _fresh = default_cache().get_or_compute(
+        stable_hash("random-cyclic-loop", str(seed)),
+        lambda: CacheEntry(
+            {"workload": random_cyclic_loop(seed, **machine)}, {}, ()
+        ),
+    )
+    return replace(
+        entry.artifacts["workload"], machine=table1_machine(seed, **machine)
+    )
+
+
 @register_cell_kind("table1")
 def _run_table1_cell(p: Mapping[str, Any]) -> dict[str, Any]:
     # Imported lazily: experiments.py itself delegates to this package.
     from repro.experiments import measure
-    from repro.workloads import random_cyclic_loop
 
-    w = random_cyclic_loop(
+    w = _random_cyclic_workload(
         p["seed"],
         k=p["k"],
         mm=p["mm"],
@@ -167,10 +189,9 @@ def _run_table1_cell(p: Mapping[str, Any]) -> dict[str, Any]:
 @register_cell_kind("sweep")
 def _run_sweep_cell(p: Mapping[str, Any]) -> dict[str, Any]:
     from repro.experiments import measure
-    from repro.workloads import random_cyclic_loop
 
     mm = max(1, p["true_k"] - p["estimate_k"] + 1)
-    w = random_cyclic_loop(
+    w = _random_cyclic_workload(
         p["seed"],
         k=p["estimate_k"],
         mm=mm,

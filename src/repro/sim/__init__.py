@@ -2,7 +2,9 @@
 
 Two interchangeable implementations of the machine semantics:
 
-* :func:`repro.sim.fastpath.evaluate` — closed-form forward pass;
+* :func:`repro.sim.fastpath.evaluate` — closed-form forward pass over
+  a program lowered once (:func:`repro.sim.fastpath.lower`) and priced
+  per comm model;
 * :func:`repro.sim.engine.simulate` — event-driven engine with message
   objects and a full :class:`~repro.sim.engine.ExecutionTrace`.
 
@@ -16,11 +18,12 @@ from repro.sim.engine import (
     execution_segments,
     simulate,
 )
-from repro.sim.fastpath import evaluate, evaluate_trace
+from repro.sim.fastpath import LoweredProgram, evaluate, evaluate_trace, lower
 from repro.sim.trace import TraceStats, critical_chain, trace_stats
 
 __all__ = [
     "ExecutionTrace",
+    "LoweredProgram",
     "Message",
     "Segment",
     "TraceStats",
@@ -28,6 +31,7 @@ __all__ = [
     "evaluate",
     "evaluate_trace",
     "execution_segments",
+    "lower",
     "simulate",
     "trace_stats",
 ]

@@ -10,19 +10,27 @@ in-order execution), execution times satisfy a simple recurrence::
 
 :func:`evaluate` solves it in two steps:
 
-1. *Lowering* (:func:`_lower`).  The program is numbered row-major,
-   processor by processor, and flattened once into integer lists:
-   each op's latency, and each op's in-program predecessors as
-   ``(index, cost)`` pairs, where the cost is 0 on the same processor
-   and the message cost otherwise.  A message cost is taken once per
-   edge when it cannot depend on the iteration
-   (:meth:`~repro.machine.comm.CommModel.runtime_cost_varies`), and
-   once per message when it can.
-2. *Solve.*  A worklist over processors advances each one along its
-   row while the head's predecessors have finished; a processor whose
-   head waits on an unfinished op parks on that op and is woken when
-   it finishes.  No ``Op``, ``Placement`` or ``Schedule.add`` is
-   touched in the loop.
+1. *Lowering* (:func:`lower`).  The program is validated once,
+   numbered row-major, processor by processor, and flattened into
+   integer lists: each op's latency, and each op's in-program
+   predecessors as ``(index, edge slot)`` pairs.  Slot 0 means the
+   same processor (no message); slot ``s >= 1`` names the graph edge
+   the message travels.  The result, a :class:`LoweredProgram`, refers
+   to no communication model, so one lowering serves every model the
+   program is timed under — Table 1's fluctuation levels and the comm
+   sweep's true costs all time the same lowered program.
+2. *Solve.*  Each edge slot is priced once for the given model — or,
+   when the cost can depend on the iteration
+   (:meth:`~repro.machine.comm.CommModel.runtime_cost_varies`), each
+   message is.  A worklist over processors then advances each one
+   along its row while the head's predecessors have finished; a
+   processor whose head waits on an unfinished op parks on that op and
+   is woken when it finishes.  No ``Op``, ``Placement`` or
+   ``Schedule.add`` is touched in the loop.
+
+:func:`evaluate` accepts either a program or its :class:`LoweredProgram`
+(which iterates its rows, so it is still a program); callers that time
+one program under several models lower it once and pass the lowering.
 
 The result is a :class:`~repro.core.schedule.Schedule` built from the
 solved rows (:meth:`~repro.core.schedule.Schedule.from_rows`):
@@ -44,17 +52,119 @@ can never deadlock, so this doubles as a codegen sanity check.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import accumulate, chain
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro._types import Op
 from repro.core.schedule import Schedule
 from repro.errors import DeadlockError
-from repro.graph.ddg import DependenceGraph
+from repro.graph.ddg import DependenceGraph, Edge
 from repro.machine.comm import CommModel
 from repro.sim.engine import ExecutionTrace, Message, validate_program
 
-__all__ = ["evaluate", "evaluate_trace"]
+__all__ = ["LoweredProgram", "evaluate", "evaluate_trace", "lower"]
+
+
+@dataclass(frozen=True, eq=False)
+class LoweredProgram:
+    """A validated program flattened to integer lists, for any comm model.
+
+    Ops are numbered row-major: processor ``j``'s row holds indices
+    ``bounds[j] .. bounds[j + 1] - 1``, and ``proc_of`` maps each op to
+    its processor.  ``preds[k]`` lists op ``k``'s in-program
+    predecessors as ``(index, slot)`` pairs; slot 0 is a same-processor
+    predecessor (no message) and slot ``s >= 1`` a message over
+    ``edges[s - 1]``.  A predecessor earlier in the same
+    row is left out: program order already waits for it.  One later in
+    the same row stays, at slot 0, so the solve sees the deadlock.
+
+    Iterating a lowered program yields its rows, so it is still a
+    program.  It is shared (between cells, through the artifact cache)
+    and never mutated.
+    """
+
+    rows: tuple[list[Op], ...]
+    proc_of: dict[Op, int]
+    bounds: list[int]
+    latencies: list[int]
+    edges: tuple[Edge, ...]
+    preds: list[tuple[tuple[int, int], ...]]
+
+    def __iter__(self) -> Iterator[list[Op]]:
+        return iter(self.rows)
+
+
+def lower(
+    graph: DependenceGraph, program: Sequence[Sequence[Op]]
+) -> LoweredProgram:
+    """Validate ``program`` and flatten it; see :class:`LoweredProgram`."""
+    proc_of = validate_program(graph, program)
+    rows = tuple(list(row) for row in program)
+    bounds = list(accumulate(map(len, rows), initial=0))
+    # op (node, it) has index position[node][it]
+    position: dict[str, dict[int, int]] = {name: {} for name in graph}
+    for k, (node, it) in enumerate(chain.from_iterable(rows)):
+        position[node][it] = k
+    # every edge gets a slot, listed with its destination's predecessors
+    edges: list[Edge] = []
+    node_preds = {}
+    for name in graph:
+        entry = []
+        for e in graph.predecessors(name):
+            edges.append(e)
+            entry.append((position[e.src], e.distance, len(edges)))
+        node_preds[name] = entry
+    latency = {name: graph.latency(name) for name in graph}
+    lats = [latency[node] for node, _ in chain.from_iterable(rows)]
+    # tuples of ints, which the cyclic collector stops tracking, so the
+    # lowered program adds no long-lived objects for it to rescan
+    preds: list[tuple[tuple[int, int], ...]] = []
+    k = 0
+    for row_lo, row_hi, row in zip(bounds, bounds[1:], rows):
+        for node, it in row:
+            entry = []
+            for where, distance, slot in node_preds[node]:
+                pi = where.get(it - distance)
+                if pi is None:  # live-in, or not in the program
+                    continue
+                if row_lo <= pi < row_hi:  # same processor: no message
+                    if pi < k:
+                        continue
+                    slot = 0
+                entry.append((pi, slot))
+            preds.append(tuple(entry))
+            k += 1
+    return LoweredProgram(rows, proc_of, bounds, lats, tuple(edges), preds)
+
+
+def _price(
+    lowered: LoweredProgram, comm: CommModel, use_runtime: bool
+) -> tuple[list[tuple[tuple[int, int], ...]], list[int]]:
+    """The predecessor lists and slot costs one solve reads.
+
+    A cost that cannot depend on the iteration is taken once per edge.
+    One that can gets a slot per message, so the lists are rebuilt.
+    """
+    edges = lowered.edges
+    if not (use_runtime and comm.runtime_cost_varies()):
+        if use_runtime:
+            costs = [comm.runtime_cost(e, Op(e.src, 0)) for e in edges]
+        else:
+            costs = [comm.compile_cost(e) for e in edges]
+        return lowered.preds, [0, *costs]
+    ops = list(chain.from_iterable(lowered.rows))
+    costs = [0]
+    preds = []
+    for entry in lowered.preds:
+        priced = []
+        for pi, slot in entry:
+            if slot:
+                costs.append(comm.runtime_cost(edges[slot - 1], ops[pi]))
+                slot = len(costs) - 1
+            priced.append((pi, slot))
+        preds.append(tuple(priced))
+    return preds, costs
 
 
 def _reconstruct_messages(
@@ -88,65 +198,6 @@ def _reconstruct_messages(
     return messages
 
 
-def _lower(
-    graph: DependenceGraph,
-    rows: list[list[Op]],
-    bounds: list[int],
-    comm: CommModel,
-    use_runtime: bool,
-) -> tuple[list[int], list[tuple[tuple[int, int], ...]]]:
-    """Number the program row-major and flatten it to integer lists.
-
-    Returns each op's latency and its in-program predecessors as
-    ``(index, message cost)`` pairs.  A predecessor earlier in the same
-    row is left out: program order already waits for it.  One later in
-    the same row stays, at cost 0, so the solve sees the deadlock.
-    """
-    ops = list(chain.from_iterable(rows))
-    # op (node, it) has index position[node][it]
-    position: dict[str, dict[int, int]] = {name: {} for name in graph}
-    for k, (node, it) in enumerate(ops):
-        position[node][it] = k
-    # each node's predecessor edges with the edge's message cost, or
-    # None when every message must be priced on its own
-    per_message = use_runtime and comm.runtime_cost_varies()
-    node_preds = {}
-    for name in graph:
-        edges = []
-        for e in graph.predecessors(name):
-            if per_message:
-                cost = None
-            elif use_runtime:
-                cost = comm.runtime_cost(e, Op(e.src, 0))
-            else:
-                cost = comm.compile_cost(e)
-            edges.append((position[e.src], e.distance, e, cost))
-        node_preds[name] = edges
-    latency = {name: graph.latency(name) for name in graph}
-    lats = [latency[node] for node, _ in ops]
-    # tuples of ints, which the cyclic collector stops tracking, so the
-    # lowered program adds no long-lived objects for it to rescan
-    preds: list[tuple[tuple[int, int], ...]] = []
-    k = 0
-    for row_lo, row_hi, row in zip(bounds, bounds[1:], rows):
-        for node, it in row:
-            entry = []
-            for where, distance, edge, cost in node_preds[node]:
-                pi = where.get(it - distance)
-                if pi is None:  # live-in, or not in the program
-                    continue
-                if row_lo <= pi < row_hi:  # same processor: no message
-                    if pi < k:
-                        continue
-                    cost = 0
-                elif cost is None:
-                    cost = comm.runtime_cost(edge, ops[pi])
-                entry.append((pi, cost))
-            preds.append(tuple(entry))
-            k += 1
-    return lats, preds
-
-
 def evaluate(
     graph: DependenceGraph,
     order: Sequence[Sequence[Op]],
@@ -156,18 +207,19 @@ def evaluate(
 ) -> Schedule:
     """Compute start/finish times for a per-processor op ordering.
 
-    ``order[j]`` is the exact execution order of processor ``j``.
-    Dependences whose source instance is absent from the program
-    (live-in values, or nodes outside the scheduled subset) are
-    satisfied at time 0.
+    ``order[j]`` is the exact execution order of processor ``j``;
+    ``order`` may also be ``lower(graph, program)``, which skips
+    validation and lowering.  Dependences whose source instance is
+    absent from the program (live-in values, or nodes outside the
+    scheduled subset) are satisfied at time 0.
     """
-    proc_of = validate_program(graph, order)
-    processors = len(order)
-    rows = [list(row) for row in order]
-    # processor j's row holds indices bounds[j] .. bounds[j + 1] - 1
-    bounds = list(accumulate(map(len, rows), initial=0))
+    lowered = order
+    if not isinstance(lowered, LoweredProgram):
+        lowered = lower(graph, order)
+    preds, costs = _price(lowered, comm, use_runtime)
+    rows, bounds, lats = lowered.rows, lowered.bounds, lowered.latencies
+    processors = len(rows)
     n = bounds[-1]
-    lats, preds = _lower(graph, rows, bounds, comm, use_runtime)
 
     # -- solve: advance each processor while its head is ready
     starts = [0] * n
@@ -181,11 +233,11 @@ def evaluate(
         k, stop, t = ptr[j], stops[j], proc_end[j]
         while k < stop:
             start = t
-            for pi, cost in preds[k]:
+            for pi, slot in preds[k]:
                 avail = ends[pi]
                 if not avail:
                     break
-                avail += cost
+                avail += costs[slot]
                 if avail > start:
                     start = avail
             else:
@@ -220,7 +272,9 @@ def evaluate(
         )
         err.trace = ExecutionTrace(
             sched,
-            _reconstruct_messages(graph, sched, proc_of, comm, use_runtime),
+            _reconstruct_messages(
+                graph, sched, lowered.proc_of, comm, use_runtime
+            ),
         )
         raise err
     return sched
@@ -241,10 +295,13 @@ def evaluate_trace(
     event-driven engine — and the differential tests can compare the
     two implementations through one lens.
     """
-    sched = evaluate(graph, order, comm, use_runtime=use_runtime)
-    proc_of: dict[Op, int] = {
-        op: j for j, ops in enumerate(order) for op in ops
-    }
+    lowered = order
+    if not isinstance(lowered, LoweredProgram):
+        lowered = lower(graph, order)
+    sched = evaluate(graph, lowered, comm, use_runtime=use_runtime)
     return ExecutionTrace(
-        sched, _reconstruct_messages(graph, sched, proc_of, comm, use_runtime)
+        sched,
+        _reconstruct_messages(
+            graph, sched, lowered.proc_of, comm, use_runtime
+        ),
     )

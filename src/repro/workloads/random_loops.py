@@ -45,7 +45,12 @@ from repro.machine.comm import FluctuatingComm
 from repro.machine.model import Machine
 from repro.workloads.base import Workload
 
-__all__ = ["random_loop", "random_cyclic_loop", "paper_seeds"]
+__all__ = [
+    "random_loop",
+    "random_cyclic_loop",
+    "paper_seeds",
+    "table1_machine",
+]
 
 _NODES = 40
 _SDS = 20
@@ -114,6 +119,21 @@ def random_loop(
     return g
 
 
+def table1_machine(
+    seed: int,
+    *,
+    k: int = 3,
+    mm: int = 1,
+    mode: str = "worst",
+    processors: int = 8,
+) -> Machine:
+    """The machine of one Table 1 cell: estimate ``k``, fluctuation ``mm``."""
+    return Machine(
+        processors=processors,
+        comm=FluctuatingComm(k=k, mm=mm, mode=mode, seed=seed),
+    )
+
+
 def random_cyclic_loop(
     seed: int,
     *,
@@ -151,9 +171,8 @@ def random_cyclic_loop(
     return Workload(
         name=sub.name,
         graph=sub,
-        machine=Machine(
-            processors=processors,
-            comm=FluctuatingComm(k=k, mm=mm, mode=mode, seed=seed),
+        machine=table1_machine(
+            seed, k=k, mm=mm, mode=mode, processors=processors
         ),
         notes=f"Table 1 subject, seed {seed}: Cyclic subgraph "
         f"({len(cyclic)}/{len(names)} nodes).",
