@@ -10,8 +10,8 @@ the call structure.  A :class:`Tracer` records spans (contextmanager or
 The default current tracer is the :class:`NullTracer` singleton, whose
 ``span()`` returns one shared, pre-built no-op span: the disabled path
 performs no allocation and no timestamping, so instrumentation can stay
-in hot paths permanently (``benchmarks/bench_tracing_overhead.py``
-guards this).
+in hot paths permanently (``tests/test_obs.py::TestTracingOverhead``
+bounds its cost).
 
 Cross-process story: a worker records spans against its own clock and
 ships them home as a plain-dict *bundle* (:meth:`Tracer.to_payload`);

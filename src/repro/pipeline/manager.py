@@ -185,7 +185,7 @@ class PassManager:
 
         # The null tracer's span() returns a shared no-op object, so the
         # instrumentation below is allocation-free when tracing is off
-        # (bench_tracing_overhead.py pins this).
+        # (tests/test_obs.py::TestTracingOverhead pins this).
         tracer = current_tracer()
         records: list[PassRecord] = []
         total = len(self.passes)

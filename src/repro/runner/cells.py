@@ -84,10 +84,8 @@ def execute_cell(cell: Cell) -> Any:
             f"unknown cell kind {cell.kind!r} "
             f"(known: {', '.join(sorted(_CELL_KINDS))})"
         ) from None
-    tracer = current_tracer()
-    with tracer.span(cell.kind, "cell-kind"):
-        value = fn(cell.mapping)
-    if tracer.enabled:
+    value = fn(cell.mapping)
+    if current_tracer().enabled:
         registry().counter(f"cells.{cell.kind}.executed").inc()
     return value
 

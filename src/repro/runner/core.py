@@ -306,8 +306,9 @@ def _cell_task(cell: Cell, trace: bool = False) -> dict[str, Any]:
 
     With ``trace=True`` the cell runs under a fresh local
     :class:`~repro.obs.tracer.Tracer` whose span bundle (one root span
-    for the attempt, pass spans nested below) ships home in the payload
-    for the parent to re-parent into the campaign trace.
+    for the attempt, named by the cell kind with ``cell_id`` in its
+    args, pass spans nested below) ships home in the payload for the
+    parent to re-parent into the campaign trace.
     """
     from repro.pipeline.manager import collect_reports
 
@@ -316,7 +317,8 @@ def _cell_task(cell: Cell, trace: bool = False) -> dict[str, Any]:
     try:
         with collect_reports() as reports:
             if tracer is not None:
-                with use_tracer(tracer), tracer.span(cell.cell_id, "cell"):
+                with use_tracer(tracer), tracer.span(cell.kind, "cell") as sp:
+                    sp.set("cell_id", cell.cell_id)
                     value = execute_cell(cell)
             else:
                 value = execute_cell(cell)
@@ -726,7 +728,8 @@ def run_campaign(
                         # attempt still gets its span, marked and
                         # zero-length, so trace and results agree on the
                         # attempt count.
-                        with tracer.span(cells[i].cell_id, "cell") as sp:
+                        with tracer.span(cells[i].kind, "cell") as sp:
+                            sp.set("cell_id", cells[i].cell_id)
                             sp.set("attempt", attempt)
                             sp.set("timeout", cell_timeout)
                             sp.set("ok", False)

@@ -79,6 +79,10 @@ from repro.serve.protocol import (
 
 __all__ = ["CompileService", "ServeConfig"]
 
+#: entries of the daemon's default response cache (one per distinct
+#: response key; pass chains live in each worker's own cache).
+RESPONSE_CACHE_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -93,9 +97,6 @@ class ServeConfig:
     max_attempts: int = 5
     #: compile worker processes; ``None`` = one per CPU.
     workers: int | None = None
-    #: in-memory response/artifact cache entries.  Sized so a load
-    #: burst of distinct programs does not evict its own pass chain.
-    cache_maxsize: int = 4096
     #: deterministic fault injection (WorkerCrash specs apply here).
     fault_plan: FaultPlan | None = None
 
@@ -309,7 +310,7 @@ class CompileService:
         self.cache = (
             cache
             if cache is not None
-            else ArtifactCache(maxsize=self.config.cache_maxsize)
+            else ArtifactCache(maxsize=RESPONSE_CACHE_SIZE)
         )
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.started_at = time.time()

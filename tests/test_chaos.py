@@ -10,6 +10,7 @@ outcome on every run.
 """
 
 import json
+import time
 
 import pytest
 
@@ -42,7 +43,7 @@ from repro.errors import (
 from repro.report import format_chaos_table
 from repro.sim.engine import simulate, validate_program
 from repro.sim.fastpath import evaluate
-from repro.workloads import fig7
+from repro.workloads import fig7, livermore18
 
 
 ITER = 20
@@ -323,6 +324,35 @@ class TestEngineDifferential:
             )
             assert plain.schedule.makespan() == chaos.schedule.makespan()
             assert msgs(plain) == msgs(chaos)
+
+    def test_empty_fabric_under_3x_no_fabric(self):
+        """The seam lives in the engine's hot loop: an empty-plan
+        fabric (every chaos branch live, zero faults drawn) costs a
+        small constant factor over ``fabric=None``.  Best of 5 runs
+        each; the bound catches an accidentally quadratic seam."""
+        w = livermore18()
+        prog = schedule_loop(w.graph, w.machine).program(200)
+
+        def best_seconds(make_fabric):
+            best = float("inf")
+            for _ in range(5):
+                t0 = time.perf_counter()
+                simulate(
+                    w.graph,
+                    prog,
+                    w.machine.comm,
+                    use_runtime=True,
+                    fabric=make_fabric(),
+                )
+                best = min(best, time.perf_counter() - t0)
+            return best
+
+        base = best_seconds(lambda: None)
+        chaos = best_seconds(lambda: FaultyFabric(FaultPlan(0)))
+        assert chaos / base < 3.0, (
+            f"empty fabric {chaos / base:.2f}x the no-fabric engine "
+            f"({chaos * 1e3:.1f}ms vs {base * 1e3:.1f}ms)"
+        )
 
 
 class TestEngineFaults:

@@ -29,7 +29,9 @@ from repro.obs import (
     validate_chrome_trace,
     write_chrome_trace,
 )
+from repro.pipeline import ArtifactCache, compile_graph
 from repro.sim.engine import Segment
+from repro.workloads import suite
 
 
 # ----------------------------------------------------------------------
@@ -110,6 +112,80 @@ class TestNullTracer:
 
     def test_null_payload_is_none(self):
         assert NULL_TRACER.to_payload() is None
+
+
+class TestTracingOverhead:
+    """The instrumentation stays in the hot paths permanently, so its
+    cost is bounded here.  Minima over several rounds are compared
+    (far steadier than means), and the bounds leave room for noisy
+    machines."""
+
+    SPAN_REPS = 10_000
+
+    @staticmethod
+    def _compile_suite() -> int:
+        """Cold-compile every suite workload; returns spans entered."""
+        entered = 0
+        for w in suite().values():
+            ctx = compile_graph(
+                w.graph, w.machine, iterations=40, cache=ArtifactCache()
+            )
+            entered += len(ctx.report.passes)
+        return entered
+
+    @staticmethod
+    def _best_seconds(fn, rounds: int) -> float:
+        best = float("inf")
+        for _ in range(rounds):
+            t0 = time.perf_counter()
+            fn()
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    def _null_span_seconds(self) -> float:
+        """Best-of-5 cost of one null span enter/exit."""
+        tracer = current_tracer()
+
+        def loop():
+            for _ in range(self.SPAN_REPS):
+                with tracer.span("hot", "bench") as s:
+                    s.set("ignored", 1)
+
+        return self._best_seconds(loop, 5) / self.SPAN_REPS
+
+    def test_null_span_under_2us(self):
+        assert current_tracer() is NULL_TRACER
+        per_span = self._null_span_seconds()
+        assert per_span < 2e-6, f"null span {per_span * 1e9:.0f}ns"
+
+    def test_disabled_instrumentation_share_under_3_percent(self):
+        """(spans entered x null-span cost) against the compile time
+        itself, so the bound scales with machine speed."""
+        assert current_tracer() is NULL_TRACER
+        per_span = self._null_span_seconds()
+        before = Span.allocated
+        spans = self._compile_suite()
+        compile_s = self._best_seconds(self._compile_suite, 3)
+        assert Span.allocated == before, "null tracer allocated spans"
+        share = spans * per_span / compile_s
+        assert share < 0.03, (
+            f"instrumentation {share:.2%} of compile time "
+            f"({spans} spans x {per_span * 1e9:.0f}ns / "
+            f"{compile_s * 1e3:.1f}ms)"
+        )
+
+    def test_enabled_tracer_under_3x_disabled(self):
+        disabled = self._best_seconds(self._compile_suite, 3)
+        tracer = Tracer()
+
+        def traced_compile():
+            with use_tracer(tracer):
+                self._compile_suite()
+
+        enabled = self._best_seconds(traced_compile, 3)
+        assert tracer.finished(), "enabled tracer recorded nothing"
+        ratio = enabled / disabled
+        assert ratio < 3.0, f"enabled tracing {ratio:.2f}x disabled"
 
 
 class TestReplant:

@@ -73,7 +73,8 @@ class TestCampaignTraceProperties:
         spans = tracer.finished()
         by_id: dict[str, list] = {}
         for s in _cell_spans(spans):
-            by_id.setdefault(s.name, []).append(s)
+            assert s.name == "_selftest"
+            by_id.setdefault(s.args["cell_id"], []).append(s)
 
         # exactly one 'cell' span per attempt of every cell
         assert sum(len(v) for v in by_id.values()) == sum(
@@ -113,7 +114,7 @@ class TestCampaignTraceStructure:
         spans = tracer.finished()
         campaign = next(s for s in spans if s.cat == "campaign")
 
-        cell_spans = {s.name: s for s in _cell_spans(spans)}
+        cell_spans = {s.args["cell_id"]: s for s in _cell_spans(spans)}
         assert len(cell_spans) == 4
         for r in res.results:
             s = cell_spans[r.cell.cell_id]
@@ -121,12 +122,6 @@ class TestCampaignTraceStructure:
             assert s.args["pid"] == r.worker_pid
             assert r.worker_pid != os.getpid()  # genuinely out-of-process
             assert s.ts >= campaign.ts
-
-        # the worker-side kind spans survived the replant, nested in place
-        kind_spans = [s for s in spans if s.cat == "cell-kind"]
-        assert len(kind_spans) == 4
-        for s in kind_spans:
-            assert _enclosing(s, "cell") is not None
 
     def test_crashed_attempt_gets_synthesized_span(self):
         cells = [
@@ -140,7 +135,7 @@ class TestCampaignTraceStructure:
         spans = [
             s
             for s in tracer.finished()
-            if s.cat == "cell" and s.name == crashed.cell.cell_id
+            if s.cat == "cell" and s.args["cell_id"] == crashed.cell.cell_id
         ]
         # the worker died without reporting: the attempt still appears,
         # zero-length and marked failed, so trace and results agree
@@ -162,7 +157,7 @@ class TestCampaignTraceStructure:
         for s in pass_spans:
             cell = _enclosing(s, "cell")
             assert cell is not None
-            assert cell.name.startswith("table1/")
+            assert cell.name == "table1"
 
 
 class TestCliTraceOut:
@@ -199,6 +194,10 @@ class TestCliTraceOut:
         assert len(pass_events) == 4 * len(cell_events)
         assert len([e for e in events if e["cat"] == "campaign"]) == 1
         assert {e["args"]["ok"] for e in cell_events} == {True}
+        # one span per attempt, named by kind; the cell id rides in args
+        assert {e["name"] for e in cell_events} == {"table1"}
+        assert len({e["args"]["cell_id"] for e in cell_events}) == 3
+        assert not [e for e in events if e["cat"] == "cell-kind"]
 
         # histogram summaries rode into the campaign artifact
         bench = json.loads((tmp_path / "bench.json").read_text())
@@ -214,3 +213,17 @@ class TestCliTraceOut:
         assert "profile (spans by category:name" in out
         assert "cli:repro-mimd fig7" in out
         assert "pipeline.passes_executed" in out
+
+    def test_profile_folds_cells_by_kind(self, capsys):
+        from repro.cli import main
+
+        assert main(["profile", "table1", "--iterations", "20"]) == 0
+        out = capsys.readouterr().out
+        rows = [
+            line.split()
+            for line in out.splitlines()
+            if line.lstrip().startswith("cell:")
+        ]
+        # 25 seeds x 3 fluctuation levels, one row for all of them
+        assert [row[:2] for row in rows] == [["cell:table1", "75"]]
+        assert "more span groups" not in out
