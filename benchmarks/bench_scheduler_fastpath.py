@@ -13,7 +13,9 @@ implementations:
   repeats from the cross-sweep memo.
 
 Every optimized result is checked **bit-identical** to the reference
-pattern for the same request before any timing is reported.  Two
+pattern for the same request, with the same detection counters
+(instances scheduled, candidates verified, detection cycle,
+unrollings), before any timing is reported.  Two
 speedups are recorded per case: ``speedup`` (the full stream, memo
 on — the number the CI ratchet enforces at >= 20x) and
 ``algorithmic_speedup`` (unique requests only, memo off — the raw
@@ -109,6 +111,16 @@ CASES = {
 }
 
 
+def _counters(stats) -> tuple:
+    """The detection counters both implementations must agree on."""
+    return (
+        stats.instances_scheduled,
+        stats.candidates_tried,
+        stats.detection_cycle,
+        stats.unrollings,
+    )
+
+
 def run_case(reps: int, requests) -> dict:
     """Time both implementations over the same stream; verify identity."""
     stream = requests * reps
@@ -131,7 +143,8 @@ def run_case(reps: int, requests) -> dict:
         _REMAP_CACHE.clear()
 
     identical = all(
-        o.pattern == r.pattern for o, r in zip(opt_results, ref_results)
+        o.pattern == r.pattern and _counters(o.stats) == _counters(r.stats)
+        for o, r in zip(opt_results, ref_results)
     )
 
     # raw fastpath, no reuse: unique requests, memo off
@@ -169,7 +182,8 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="X",
         help="exit non-zero unless every case reaches this speedup "
-        "and every pattern is bit-identical to the reference",
+        "and every pattern and detection counter is identical to the "
+        "reference",
     )
     args = parser.parse_args(argv)
 
@@ -212,7 +226,9 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.require_speedup is not None:
         if not result["all_identical"]:
-            print("FAIL: optimized pattern differs from reference")
+            print(
+                "FAIL: optimized pattern or counters differ from reference"
+            )
             return 1
         if result["min_speedup"] < args.require_speedup:
             print(

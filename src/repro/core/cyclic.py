@@ -26,39 +26,41 @@ previously placed ops on the same processor finish), which makes the
 possible placement lies beyond it.
 
 This module is the *optimized* implementation (DESIGN.md §13).  It
-produces **bit-identical** :class:`CyclicResult` patterns to the
-straightforward transcription preserved in
-:mod:`repro.core.cyclic_reference`.  How much faster it is depends on
-what is counted (``benchmarks/bench_scheduler_fastpath.py``, checked
-in as ``BENCH_scheduler.json``):
+produces **bit-identical** :class:`CyclicResult` patterns, and the same
+counters (timings aside), as the straightforward transcription
+preserved in :mod:`repro.core.cyclic_reference`.  How much faster it
+is depends on what is counted
+(``benchmarks/bench_scheduler_fastpath.py``, checked in as
+``BENCH_scheduler.json``):
 
 * the scheduler alone, memo off, each unique request once
-  (``algorithmic_speedup``): 1.5x to 2.9x (1.51 fuzz_replay, 2.13
-  paper_examples, 2.93 random_sweep);
-* whole request streams, memo on (``speedup``): 29x to 41x, because
+  (``algorithmic_speedup``): 2.5x to 5.2x (2.53 fuzz_replay, 3.30
+  paper_examples, 5.15 random_sweep);
+* whole request streams, memo on (``speedup``): 32x to 52x, because
   the cross-sweep memo below answers most requests of those repeated
   streams (329 of 336 on fuzz_replay, 105 of 112 on random_sweep).
 
-Three structural changes make up the memo-off gain:
+Four structural changes make up the memo-off gain:
 
 1. **Incremental configuration detection.**  Instead of rebuilding a
    ``p x (k+1)`` window key from the grid for every stable cycle
    (O(p*k) per cycle, ~25% of reference wall time), each schedule
-   *row* (one cycle across all processors) is digested exactly once
-   when the frontier passes it.  Rows are canonicalized relative to
-   their own minimum iteration and interned to small integers; a
-   window key is then ``height`` ``(row-id, row-base-offset)`` pairs.
+   *row* (one cycle across all processors) is digested exactly once,
+   when a scan first needs it.  Rows are canonicalized relative to
+   their own minimum iteration and interned to small integers kept in
+   flat per-cycle lists; a window key is then a slice of them.
    Interning makes key equality *structural* — two windows have equal
    rolled keys iff :func:`~repro.core.patterns.configuration_key`
    would return equal keys — so detection order is provably unchanged.
-   The same row digests make segment verification O(period) row
+   The same row digests make segment verification three slice
    comparisons instead of O(p * period) grid probes.
 2. **Fused processor selection.**  The reference recomputes every
    predecessor's availability *per candidate processor* (O(procs *
    preds) graph traversals per instance, ~24% of wall time).  Here a
-   single pass at ready time computes per-processor same-processor
-   ready times plus the top-two cross-processor availabilities; the
-   per-processor probe is then O(1), with the paper's first-minimum
+   single pass at ready time folds the predecessors into the top-two
+   cross-processor availabilities; every processor but one then
+   starts at ``max(free time, floor, v1)``, so the earliest is a
+   C-level minimum over the free times, with the paper's first-minimum
    and ``'idle'`` tie-break semantics reproduced exactly.
 3. **Bounded detection state.**  ``occurrences``/``rejected`` entries
    that can no longer pair are evicted once the retained span exceeds
@@ -66,6 +68,19 @@ Three structural changes make up the memo-off gain:
    the span instead of evicting while no candidate period has been
    proposed — so memory stays O(window) on long multi-SCC phase-lock
    runs without changing any observed detection.
+4. **Integer instances and the stall gate.**  The subgraph is lowered
+   once: node ``v`` is its insertion index, instance ``(v, it)`` the
+   integer ``it*n + v``, a dependence a fixed offset between them, and
+   placements, ASAP times and predecessor counts are flat lists grown
+   one iteration at a time.  :class:`~repro.core.schedule.Placement`
+   objects are built only for the accepted pattern.  A scan that stops
+   at a candidate it cannot verify before the frontier reaches
+   ``t0 + 2*period`` is not repeated until then.
+   ``candidates_tried`` counts verification attempts as the reference
+   makes them, repeats during a stall included — and a stall repeats
+   none: a window's candidates are tried oldest first and an older one
+   needs a later frontier, so a scan stalls before it verifies any
+   candidate at that window.
 
 Cross-sweep memoization (``memo=True``) additionally keys whole
 results by a canonical graph hash — node latencies and edges by
@@ -81,10 +96,12 @@ with_nodes` and are bit-identical to a fresh run.
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from bisect import bisect_left
+from collections import defaultdict, deque
 from dataclasses import dataclass, fields
+from itertools import compress, repeat
+from operator import add, mul, sub
 from time import perf_counter
-from typing import Callable
 
 from repro._types import Op
 from repro.core.patterns import Pattern
@@ -104,8 +121,8 @@ ORDERINGS = ("asap", "iteration", "index")
 #: candidate period has been proposed.
 _RETAIN_MIN = 4096
 
-#: Finalized digest of an all-idle row.
-_EMPTY_ROW = (-1, None)
+#: A processor-free time later than any schedule reaches.
+_NEVER = 1 << 62
 
 
 @dataclass
@@ -118,8 +135,12 @@ class CyclicStats:
     counted by ``rows_rolled``).  ``memo_hits`` is 1 when this result
     was served from the cross-sweep memo (its other counters then
     replay the original computing run, mirroring the pipeline cache's
-    replay semantics).  ``detect_seconds``/``total_seconds`` give the
-    detection share of wall time.
+    replay semantics).  ``candidates_tried`` counts verification
+    attempts as the reference makes them, repeats during a stall
+    included (there are none, see :class:`_Detector`).
+    ``detect_seconds``/
+    ``total_seconds`` give the detection share of wall time (rolling,
+    scanning and verifying; not the per-placement frontier test).
     """
 
     instances_scheduled: int = 0
@@ -158,31 +179,20 @@ _MACHINE_FP_CACHE: dict = {}
 _MACHINE_FP_CACHE_MAX = 256
 
 
-def _make_key(
-    ordering: str, graph: DependenceGraph
-) -> Callable[[Op, int], tuple]:
-    index = graph.node_index
-    if ordering == "asap":
-        return lambda op, asap: (asap, op.iteration, index(op.node))
-    if ordering == "iteration":
-        return lambda op, asap: (op.iteration, index(op.node))
-    if ordering == "index":
-        return lambda op, asap: (index(op.node), op.iteration)
-    raise SchedulingError(
-        f"unknown ordering {ordering!r}; choose from {ORDERINGS}"
-    )
-
-
 class _RollingWindows:
     """Per-row schedule digests, rolled forward as the frontier moves.
 
     A *row* is one cycle across all processors.  When the frontier
     passes cycle ``c`` the row is final: its cells are sorted by
     processor, normalized by the row's own minimum iteration, and
-    interned to a small integer id.  A configuration window is then
-    just ``height`` consecutive ``(row_id, row_min)`` pairs, and its
-    key normalizes the per-row minima against the first non-idle row's
-    minimum (the *anchor*; see :meth:`key_at`).
+    interned to a small integer id.  Finalized rows live in three flat
+    lists indexed by ``c - evicted``: the row id (``-1`` when idle),
+    the row's minimum iteration, and a *code* packing the id with the
+    row minimum's step from the previous non-idle row.  A window key is
+    then a slice: the leading idle rows, the first non-idle row's id
+    (its minimum is the window's *anchor*) and the codes after it.
+    The anchor-relative minima are prefix sums of the steps, so both
+    carry exactly the same information (see :meth:`key_at`).
 
     Invariant (proved in DESIGN.md §13, enforced by the property
     tests): for any two finalized tops ``t1, t2``, ``key_at(t1) ==
@@ -192,19 +202,24 @@ class _RollingWindows:
     visits candidates in exactly the reference order.
     """
 
-    __slots__ = ("height", "pending", "final", "intern", "rows",
-                 "next_final", "evicted")
+    __slots__ = ("height", "pending", "intern", "rows", "rids", "mins",
+                 "codes", "last_min", "next_final", "evicted")
 
     def __init__(self, height: int) -> None:
         self.height = height
-        #: cycle -> [(proc, node, iteration, phase), ...] not yet final
-        self.pending: dict[int, list[tuple[int, str, int, int]]] = {}
-        #: cycle -> (row_id, row_min_iteration) | _EMPTY_ROW
-        self.final: dict[int, tuple[int, int | None]] = {}
+        #: cycle -> [(proc, node, iteration, phase), ...] not yet final;
+        #: ``node`` is whatever identifies it (the scheduler's index)
+        self.pending: defaultdict[int, list[tuple]] = defaultdict(list)
         #: relative row tuple -> row id (exact, collision-free)
         self.intern: dict[tuple, int] = {}
         #: row id -> relative row tuple (for materialize())
         self.rows: list[tuple] = []
+        #: per finalized cycle, from cycle ``evicted`` on: row id or -1,
+        #: minimum iteration (0 when idle), and code (-1 when idle)
+        self.rids: list[int] = []
+        self.mins: list[int] = []
+        self.codes: list[int] = []
+        self.last_min = 0  # minimum iteration of the last non-idle row
         self.next_final = 0
         self.evicted = 0
 
@@ -214,82 +229,91 @@ class _RollingWindows:
         if c >= frontier:
             return
         pending = self.pending
-        final = self.final
         intern = self.intern
         rows = self.rows
+        rids = self.rids
+        mins = self.mins
+        codes = self.codes
+        last = self.last_min
         while c < frontier:
             cells = pending.pop(c, None)
             if cells is None:
-                final[c] = _EMPTY_ROW
+                rids.append(-1)
+                mins.append(0)
+                codes.append(-1)
             else:
                 if len(cells) == 1:
                     j, node, row_min, phase = cells[0]
                     rel = ((j, node, 0, phase),)
                 else:
                     cells.sort()
-                    row_min = min(cell[2] for cell in cells)
-                    rel = tuple(
+                    row_min = min([cell[2] for cell in cells])
+                    rel = tuple([
                         (j, node, it - row_min, phase)
                         for j, node, it, phase in cells
-                    )
+                    ])
                 rid = intern.get(rel)
                 if rid is None:
                     rid = len(rows)
                     intern[rel] = rid
                     rows.append(rel)
-                final[c] = (rid, row_min)
+                rids.append(rid)
+                mins.append(row_min)
+                codes.append(rid + (row_min - last) * _CODE_SPAN)
+                last = row_min
             c += 1
         stats.rows_rolled += c - self.next_final
         self.next_final = c
+        self.last_min = last
 
     def key_at(self, top: int) -> tuple[int, tuple] | None:
         """``(anchor, key)`` of the finalized window at ``top``.
 
         ``None`` for an all-idle window, mirroring
-        :func:`~repro.core.patterns.configuration_key`.  Row bases are
-        normalized against the *first* non-idle row's minimum iteration
-        (the anchor) rather than the window-wide minimum: both are
-        canonical under iteration shift, so two windows have equal keys
-        iff their ``configuration_key``s are equal, and the difference
-        of their anchors equals the difference of their window minima —
-        which is all detection uses the base for (the shift ``d``).
-        The anchor needs one pass instead of a min sweep plus a second
-        pass.  ``scan`` inlines this exact loop.
+        :func:`~repro.core.patterns.configuration_key`.  The anchor is
+        the first non-idle row's minimum iteration rather than the
+        window-wide minimum: both are canonical under iteration shift,
+        so two windows have equal keys iff their ``configuration_key``s
+        are equal, and the difference of their anchors equals the
+        difference of their window minima — which is all detection uses
+        the base for (the shift ``d``).  ``scan`` inlines this.
         """
-        final = self.final
-        anchor: int | None = None
-        parts = []
-        for c in range(top, top + self.height):
-            row = final[c]
-            rm = row[1]
-            if rm is None:
-                parts.append(_KEY_IDLE)
-            elif anchor is None:
-                anchor = rm
-                parts.append((row[0], 0))
-            else:
-                parts.append((row[0], rm - anchor))
-        if anchor is None:
-            return None
-        return anchor, tuple(parts)
+        i = top - self.evicted
+        stop = i + self.height
+        rids = self.rids
+        f = i
+        while rids[f] < 0:
+            f += 1
+            if f == stop:
+                return None
+        return self.mins[f], (f - i, rids[f], *self.codes[f + 1:stop])
 
     def segment_repeats(self, t0: int, period: int, shift: int) -> bool:
         """Does [t0, t0+period) equal [t0+period, t0+2*period) shifted?
 
         Row-digest form of the reference's cell-by-cell check: rows
-        match iff they intern to the same id and their bases differ by
-        exactly ``shift``.  All rows involved are finalized — the
-        caller guarantees ``t0 + 2*period <= frontier``.
+        match iff they intern to the same id and their minima differ by
+        exactly ``shift``.  With equal ids the idle rows line up, so
+        that is the first non-idle pair's minima differing by
+        ``shift`` and every later row's code (id and step) agreeing,
+        three comparisons of flat slices.  All rows involved are
+        finalized — the caller guarantees ``t0 + 2*period <= frontier``.
         """
-        final = self.final
-        for c in range(t0, t0 + period):
-            a = final[c]
-            b = final[c + period]
-            if a[0] != b[0]:
-                return False
-            if a[1] is not None and b[1] - a[1] != shift:
-                return False
-        return True
+        a = t0 - self.evicted
+        b = a + period
+        rids = self.rids
+        if rids[a:b] != rids[b:b + period]:
+            return False
+        f = a
+        while rids[f] < 0:
+            f += 1
+            if f == b:
+                return True
+        codes = self.codes
+        return (
+            self.mins[f + period] - self.mins[f] == shift
+            and codes[f + 1:b] == codes[f + 1 + period:b + period]
+        )
 
     def materialize(self, top: int) -> tuple[int, tuple] | None:
         """Rebuild the window in ``configuration_key``'s exact format.
@@ -298,37 +322,39 @@ class _RollingWindows:
         describe the same window a from-scratch
         :func:`~repro.core.patterns.configuration_key` would.
         """
-        final = self.final
-        rows = self.rows
-        stop = top + self.height
-        base: int | None = None
-        for c in range(top, stop):
-            rm = final[c][1]
-            if rm is not None and (base is None or rm < base):
-                base = rm
-        if base is None:
+        i = top - self.evicted
+        window = [
+            (c, rid, rm)
+            for c, rid, rm in zip(
+                range(self.height),
+                self.rids[i:i + self.height],
+                self.mins[i:i + self.height],
+            )
+            if rid >= 0
+        ]
+        if not window:
             return None
-        cells = []
-        for c in range(top, stop):
-            rid, rm = final[c]
-            if rm is None:
-                continue
-            for j, node, drel, phase in rows[rid]:
-                cells.append((j, c - top, node, drel + rm - base, phase))
+        base = min(rm for _c, _rid, rm in window)
+        cells = [
+            (j, c, node, drel + rm - base, phase)
+            for c, rid, rm in window
+            for j, node, drel, phase in self.rows[rid]
+        ]
         cells.sort()
         return base, tuple(cells)
 
     def evict_below(self, low: int) -> None:
         """Drop finalized rows no scan or verification can revisit."""
-        stop = min(low, self.next_final)
-        final = self.final
-        for c in range(self.evicted, stop):
-            final.pop(c, None)
-        if stop > self.evicted:
-            self.evicted = stop
+        drop = min(low, self.next_final) - self.evicted
+        if drop > 0:
+            del self.rids[:drop]
+            del self.mins[:drop]
+            del self.codes[:drop]
+            self.evicted += drop
 
 
-_KEY_IDLE = (-1, 0)
+#: Row codes pack a row id below the step in minimum iteration.
+_CODE_SPAN = 1 << 32
 
 
 class _Detector:
@@ -352,23 +378,24 @@ class _Detector:
     detection needs fewer than ``retain`` live windows — >10x beyond
     anything observed — and on runs that do trip eviction the detector
     still finds a later, equally valid pairing of the same stream.
+
+    A scan that stops at a candidate it cannot verify yet records the
+    frontier ``stall_until`` that candidate needs.  A window's
+    candidates are its earlier occurrences, oldest first, and an older
+    one needs a later frontier (``t0 + 2*(t - t0)``), so the scan
+    stalls before verifying any candidate at that window.  Until the
+    frontier gets there a rescan would stop at the same candidate
+    having done nothing, so the caller skips it (DESIGN.md §13.5).
     """
 
-    __slots__ = ("rolling", "placed", "procs", "height", "stats",
-                 "occurrences", "occ_order", "rejected", "rej_by_t0",
-                 "next_top", "retain", "last_candidate_t")
+    __slots__ = ("rolling", "height", "stats", "occurrences", "occ_order",
+                 "rejected", "rej_by_t0", "next_top", "retain",
+                 "last_candidate_t", "stall_until")
 
     def __init__(
-        self,
-        rolling: _RollingWindows,
-        placed: dict[Op, Placement],
-        procs: int,
-        height: int,
-        stats: CyclicStats,
+        self, rolling: _RollingWindows, height: int, stats: CyclicStats
     ) -> None:
         self.rolling = rolling
-        self.placed = placed
-        self.procs = procs
         self.height = height
         self.stats = stats
         self.occurrences: dict[tuple, list[tuple[int, int]]] = {}
@@ -378,11 +405,16 @@ class _Detector:
         self.next_top = 0
         self.retain = _RETAIN_MIN
         self.last_candidate_t = -1
+        self.stall_until = 0
 
-    def scan(self, frontier: int) -> Pattern | None:
-        """Scan newly stable windows; a Pattern, or None (state advanced)."""
+    def scan(self, frontier: int) -> tuple[int, int, int] | None:
+        """Scan newly stable windows for a verified ``(start, period,
+        shift)``; None when the state has advanced without one."""
         rolling = self.rolling
-        final = rolling.final
+        rids = rolling.rids
+        mins = rolling.mins
+        codes = rolling.codes
+        off = rolling.evicted
         occ = self.occurrences
         occ_order = self.occ_order
         rejected = self.rejected
@@ -391,24 +423,19 @@ class _Detector:
         t = self.next_top
         while t + height <= frontier:
             # inlined _RollingWindows.key_at (the hottest loop in
-            # detection): anchor-normalized window key, one pass.
-            anchor = None
-            parts = []
-            for c in range(t, t + height):
-                row = final[c]
-                rm = row[1]
-                if rm is None:
-                    parts.append(_KEY_IDLE)
-                elif anchor is None:
-                    anchor = rm
-                    parts.append((row[0], 0))
-                else:
-                    parts.append((row[0], rm - anchor))
-            if anchor is None:
+            # detection)
+            i = t - off
+            f = i
+            stop = i + height
+            while rids[f] < 0:
+                f += 1
+                if f == stop:
+                    break
+            if f == stop:  # all idle
                 t += 1
                 continue
-            base = anchor
-            key = tuple(parts)
+            base = mins[f]
+            key = (f - i, rids[f], *codes[f + 1:stop])
             prior = occ.get(key)
             if prior:
                 for t0, base0 in prior:
@@ -423,14 +450,13 @@ class _Detector:
                         # when the frontier has advanced (do not index
                         # t yet).
                         self.next_top = t
+                        self.stall_until = t0 + 2 * period
                         return None
                     stats.candidates_tried += 1
                     self.last_candidate_t = t
                     if rolling.segment_repeats(t0, period, shift):
                         stats.detection_cycle = t0
-                        return _build_pattern(
-                            self.placed, self.procs, t0, period, shift
-                        )
+                        return t0, period, shift
             lst = occ.setdefault(key, [])
             if (t, base) not in lst:  # re-scans after a rejected candidate
                 lst.append((t, base))
@@ -442,10 +468,9 @@ class _Detector:
         self.next_top = t
         return None
 
-    def reject(self, pattern: Pattern) -> None:
-        trip = (pattern.start, pattern.period, pattern.iter_shift)
+    def reject(self, trip: tuple[int, int, int]) -> None:
         self.rejected.add(trip)
-        self.rej_by_t0.setdefault(pattern.start, []).append(trip)
+        self.rej_by_t0.setdefault(trip[0], []).append(trip)
 
     def prune(self) -> None:
         """Evict detection state the scan has provably moved past."""
@@ -461,6 +486,9 @@ class _Detector:
                 # grow the retained span instead of evicting it.
                 self.retain *= 2
                 break
+            # an eviction can change the stalled window's candidates:
+            # lift the stall so the next placement rescans.
+            self.stall_until = 0
             occ_order.popleft()
             lst = occ.get(key_old)
             if lst:
@@ -659,50 +687,74 @@ def _schedule_cyclic_uncached(
     comm = machine.comm
     procs = machine.processors
     node_names = graph.node_names()
-    latency = {n: graph.latency(n) for n in node_names}
+    n = len(node_names)
     if max_instances is None:
         # generous default: multi-SCC subsets can take hundreds of
         # iterations to phase-lock before the pattern stabilizes.
-        max_instances = 4000 * len(graph) + 20_000
+        max_instances = 4000 * n + 20_000
 
     # configuration window height = k + 1, with k the largest
     # compile-time communication cost actually reachable on this graph.
     k = max((comm.compile_cost(e) for e in graph.edges), default=0)
     height = k + 1
-
-    key_of = _make_key(ordering, graph)
-
-    # Static dependence tables: the hot loops below never traverse the
-    # graph — predecessor/successor structure and per-edge compile-time
-    # communication costs are fixed for the whole run.
-    static_preds: dict[str, tuple[tuple[str, int, int], ...]] = {}
-    static_succs: dict[str, tuple[tuple[str, int], ...]] = {}
-    for n in node_names:
-        static_preds[n] = tuple(
-            (e.src, e.distance, comm.compile_cost(e))
-            for e in graph.predecessors(n)
+    if ordering not in ORDERINGS:
+        raise SchedulingError(
+            f"unknown ordering {ordering!r}; choose from {ORDERINGS}"
         )
-        static_succs[n] = tuple(
-            (e.dst, e.distance) for e in graph.successors(n)
-        )
+    by_asap = ordering == "asap"
+    by_index = ordering == "index"
+    lead = max_iteration_lead
 
-    placed: dict[Op, Placement] = {}
-    asap: dict[Op, int] = {}
-    data_ready: dict[Op, int] = {}
-    #: op -> (own, cross1, cross1_proc, cross2): fused selection inputs,
-    #: computed once at ready time (all predecessors are placed then).
-    sel: dict[Op, tuple[dict[int, int], int, int, int]] = {}
-    pred_count: dict[Op, int] = {}
+    # Lowering: node v is its insertion index and instance (v, it) the
+    # integer iid = it*n + v, so every per-instance table is a flat list
+    # and a dependence is a fixed iid offset (a negative iid is an
+    # instance before iteration 0).  The hot loops never touch the graph.
+    index = graph.node_index
+    lat = [graph.latency(name) for name in node_names]
+    #: v -> ((iid offset, compile-time comm cost), ...) per predecessor
+    preds = [
+        tuple(
+            (index(e.src) - v - e.distance * n, comm.compile_cost(e))
+            for e in graph.predecessors(name)
+        )
+        for v, name in enumerate(node_names)
+    ]
+    #: v -> ((iid offset, node, distance), ...) per successor
+    succs = [
+        tuple(
+            (index(e.dst) - v + e.distance * n, index(e.dst), e.distance)
+            for e in graph.successors(name)
+        )
+        for v, name in enumerate(node_names)
+    ]
+
+    # Per-instance tables, grown one iteration (n slots) at a time.
+    end = [-1] * n  # finish cycle; -1 while unplaced
+    proc = [0] * n
+    asap_end = [0] * n  # zero-communication ASAP finish
+    #: unplaced predecessors (iteration 0 has only distance-0 ones)
+    waiting = [
+        sum(e.distance == 0 for e in graph.predecessors(name))
+        for name in node_names
+    ]
+    waiting_row = [len(p) for p in preds]
+    unplaced_row = [-1] * n
+    zero_row = [0] * n
     proc_end = [0] * procs
-    ready: list[tuple[tuple, Op]] = []
-    #: lazy min-heap over data_ready — entries are (dr, seq, op), valid
-    #: iff data_ready[op] still equals dr (updates push fresh entries).
-    dr_heap: list[tuple[int, int, Op]] = []
-    dr_seq = 0
+    proc_ids = range(procs)
+    if any(cc < 0 for ps in preds for _off, cc in ps):
+        raise SchedulingError("compile-time communication cost below 0")
+    #: heap of (asap | iteration | node, iteration, node, v1, q1, v2):
+    #: the first three are the instance's key in the reference's order
+    #: and unique, so the selection inputs after them never compare.
+    ready: list[tuple[int, int, int, int, int, int]] = []
+    #: iid -> data-ready cycle of every ready or parked instance (a
+    #: handful at a time)
+    data_ready: dict[int, int] = {}
     stats = CyclicStats()
     rolling = _RollingWindows(height)
     pending_rows = rolling.pending
-    detector = _Detector(rolling, placed, procs, height, stats)
+    detector = _Detector(rolling, height, stats)
     heappush = heapq.heappush
     heappop = heapq.heappop
 
@@ -720,212 +772,196 @@ def _schedule_cyclic_uncached(
     # an instance of iteration i is scheduled, so the pacing floor is
     # always a finalized number.  Both only delay ops whose earliness
     # was pure slack.
-    n_nodes = len(graph)
-    iter_remaining: dict[int, int] = {}
-    iter_end: dict[int, int] = {}
-    parked: dict[int, list[Op]] = {}
+    iter_left = [n]  # unplaced instances per iteration
+    iter_end = [0]  # latest finish per iteration
+    parked: dict[int, list[tuple[int, int, int, int, int, int]]] = {}
     min_unfinished = 0
 
-    def push(op: Op) -> None:
-        nonlocal dr_seq
-        node, it = op
-        a = 0
-        dr = 0
-        own: dict[int, int] = {}
-        cmax: dict[int, int] = {}
-        for pn, dist, cc in static_preds[node]:
-            pit = it - dist
-            if pit < 0:
-                continue
-            pred = (pn, pit)
-            pa = asap[pred] + latency[pn]
-            if pa > a:
-                a = pa
-            pp = placed[pred]
-            pe = pp.start + pp.latency
-            if pe > dr:
-                dr = pe
-            pq = pp.proc
-            o = own.get(pq)
-            if o is None or pe > o:
-                own[pq] = pe
-            av = pe + cc
-            o = cmax.get(pq)
-            if o is None or av > o:
-                cmax[pq] = av
-        asap[op] = a
-        data_ready[op] = dr
-        # Top-two cross-processor availabilities: for processor j the
-        # tightest remote constraint is cross1 unless j itself hosts
-        # it, in which case cross2 (per-processor maxima make the
-        # argmax processor unique, so ties fall out naturally).
-        v1 = 0
+    def push(iid: int, it: int, v: int) -> None:
+        # All predecessors are placed: fold them, once, into the ASAP
+        # key, the data-ready time and the selection inputs — the
+        # latest remote availability v1 (on processor q1) and the
+        # latest off q1, v2 (per-processor maxima, so a tie for v1
+        # makes v2 == v1 and the choice of q1 moot).
+        a = dr = v1 = v2 = 0
         q1 = -1
-        v2 = 0
-        for q, v in cmax.items():
-            if v > v1:
-                v2 = v1
-                v1 = v
-                q1 = q
-            elif v > v2:
-                v2 = v
-        sel[op] = (own, v1, q1, v2)
-        dr_seq += 1
-        heappush(dr_heap, (dr, dr_seq, op))
-        if it < min_unfinished + max_iteration_lead:
-            heappush(ready, (key_of(op, a), op))
+        for off, cc in preds[v]:
+            p = iid + off
+            if p >= 0:
+                x = asap_end[p]
+                if x > a:
+                    a = x
+                x = end[p]
+                if x > dr:
+                    dr = x
+                x += cc
+                q = proc[p]
+                if q == q1:
+                    if x > v1:
+                        v1 = x
+                elif x > v1:
+                    v2 = v1
+                    v1 = x
+                    q1 = q
+                elif x > v2:
+                    v2 = x
+        asap_end[iid] = a + lat[v]
+        data_ready[iid] = dr
+        entry = (a if by_asap else v if by_index else it, it, v, v1, q1, v2)
+        if it < min_unfinished + lead:
+            heappush(ready, entry)
         else:
-            parked.setdefault(it, []).append(op)
+            parked.setdefault(it, []).append(entry)
 
-    for name in node_names:
-        if all(e.distance >= 1 for e in graph.predecessors(name)):
-            push(Op(name, 0))
+    for v in range(n):
+        if not waiting[v]:
+            push(v, 0, v)
     if not ready:
         raise SchedulingError(
             f"graph {graph.name!r}: no initially ready instance — the "
             "distance-0 subgraph has no root (is it really a loop body?)"
         )
 
+    instances = 0
+    iters = 1  # iterations with table slots
     while True:
         if not ready:  # pragma: no cover - unreachable for Cyclic graphs
             raise SchedulingError("ready queue drained before a pattern")
-        _, op = heappop(ready)
-        del data_ready[op]
-        node, it = op
+        _, it, v, v1, q1, v2 = heappop(ready)
+        iid = it * n + v
+        dr = data_ready.pop(iid)
+        if it + 1 == iters:  # successors may reach iteration it + 1
+            end += unplaced_row
+            proc += zero_row
+            asap_end += zero_row
+            waiting += waiting_row
+            iter_left.append(n)
+            iter_end.append(0)
+            iters += 1
 
         # --- processor selection: first minimum of T(v, Pj) ----------
-        # One O(1) probe per processor from the fused inputs; same
-        # first-minimum + tie-break semantics as the reference's
-        # O(preds) inner loop (bench_scheduler_fastpath asserts
-        # bit-identical patterns).
-        own, v1, q1, v2 = sel.pop(op)
-        floor = iter_end.get(it - max_iteration_lead, 0)
-        best_j = 0
-        best_t = None
-        best_pe = 0
-        for j in range(procs):
-            pe_j = proc_end[j]
-            t = pe_j if pe_j > floor else floor
-            o = own.get(j)
-            if o is not None and o > t:
-                t = o
-            c = v2 if j == q1 else v1
-            if c > t:
-                t = c
-            if (
-                best_t is None
-                or t < best_t
-                or (prefer_idle and t == best_t and pe_j < best_pe)
+        # T(v, Pj) = max(proc_end[j], pacing floor, finish + comm of
+        # each predecessor, comm 0 if it ran on j).  Every j != q1 gets
+        # max(proc_end[j], floor, v1): a finish on j itself is never
+        # later than v1, as compile costs are >= 0.  So the best j != q1
+        # is found in C on proc_end, then matched against q1, with the
+        # reference's first-minimum and 'idle' tie-break
+        # (bench_scheduler_fastpath asserts identity).
+        floor = iter_end[it - lead] if it >= lead else 0
+        base = v1 if v1 > floor else floor
+        if q1 >= 0:
+            pe1 = proc_end[q1]
+            proc_end[q1] = _NEVER
+        m = min(proc_end)
+        if m < base and not prefer_idle:
+            # first processor free by `base`
+            best_j = next(compress(proc_ids, map(base.__ge__, proc_end)))
+        else:
+            best_j = proc_end.index(m)
+        best_t = m if m > base else base
+        if q1 >= 0:
+            proc_end[q1] = pe1
+            t = pe1 if pe1 > floor else floor
+            if v2 > t:
+                t = v2
+            if dr > t:  # a finish on q1 itself may bind (dr bounds it)
+                for off, _cc in preds[v]:
+                    p = iid + off
+                    if p >= 0 and proc[p] == q1 and end[p] > t:
+                        t = end[p]
+            if t < best_t or t == best_t and (
+                pe1 < m or pe1 == m and q1 < best_j
+                if prefer_idle
+                else q1 < best_j
             ):
-                best_t, best_j, best_pe = t, j, pe_j
-        lat = latency[node]
-        placed[op] = Placement(best_t, best_j, op, lat)
-        end = best_t + lat
-        proc_end[best_j] = end
-        for q in range(lat):
-            row = pending_rows.get(best_t + q)
-            if row is None:
-                pending_rows[best_t + q] = [(best_j, node, it, q)]
-            else:
-                row.append((best_j, node, it, q))
-        stats.instances_scheduled += 1
-        if it >= stats.unrollings:
-            stats.unrollings = it + 1
+                best_t = t
+                best_j = q1
+        lt = lat[v]
+        e = best_t + lt
+        end[iid] = e
+        proc[iid] = best_j
+        proc_end[best_j] = e
+        for q in range(lt):
+            pending_rows[best_t + q].append((best_j, v, it, q))
+        instances += 1
 
         # --- advance the iteration-lead window ------------------------
-        left = iter_remaining.get(it, n_nodes) - 1
-        iter_remaining[it] = left
-        if end > iter_end.get(it, 0):
-            iter_end[it] = end
+        left = iter_left[it] - 1
+        iter_left[it] = left
+        if e > iter_end[it]:
+            iter_end[it] = e
         if left == 0 and it == min_unfinished:
-            while iter_remaining.get(min_unfinished) == 0:
-                iter_remaining.pop(min_unfinished)
-                floor_time = iter_end.get(min_unfinished, 0)
-                iter_end.pop(min_unfinished - max_iteration_lead - 1, None)
+            while iter_left[min_unfinished] == 0:
+                floor_time = iter_end[min_unfinished]
                 min_unfinished += 1
-                release = min_unfinished + max_iteration_lead - 1
-                for parked_op in parked.pop(release, ()):
-                    if data_ready[parked_op] < floor_time:
-                        data_ready[parked_op] = floor_time
-                        dr_seq += 1
-                        heappush(dr_heap, (floor_time, dr_seq, parked_op))
-                    heappush(
-                        ready, (key_of(parked_op, asap[parked_op]), parked_op)
-                    )
+                for entry in parked.pop(min_unfinished + lead - 1, ()):
+                    piid = entry[1] * n + entry[2]
+                    if data_ready[piid] < floor_time:
+                        data_ready[piid] = floor_time
+                    heappush(ready, entry)
 
         # --- release successors --------------------------------------
-        for sn, dist in static_succs[node]:
-            succ = Op(sn, it + dist)
-            if succ in placed:
-                continue
-            cnt = pred_count.get(succ)
-            if cnt is not None:
-                if cnt == 1:
-                    del pred_count[succ]
-                    push(succ)
-                else:
-                    pred_count[succ] = cnt - 1
-            else:
-                cnt = 0
-                for pn, pdist, _cc in static_preds[sn]:
-                    pit = it + dist - pdist
-                    if pit >= 0 and (pn, pit) not in placed:
-                        cnt += 1
-                if cnt == 0:
-                    push(succ)
-                else:
-                    pred_count[succ] = cnt
+        for off, sv, dist in succs[v]:
+            s = iid + off
+            w = waiting[s] - 1
+            waiting[s] = w
+            if not w:
+                push(s, it + dist, sv)
 
         # --- pattern detection over the stable prefix ----------------
-        t_detect = perf_counter()
         # frontier = min over j of max(proc_end[j], dr_min)
         #          = max(min(proc_end), dr_min): on processor j nothing
         # can start before proc_end[j] (append-only), and nothing
         # anywhere before the minimum data-ready time over the ready
         # queue (every unreleased instance transitively waits on some
-        # ready instance).  dr_min comes from the lazy heap: stale
-        # tops (scheduled or since-bumped ops) are discarded on sight.
-        while dr_heap:
-            top = dr_heap[0]
-            if data_ready.get(top[2]) == top[0]:
-                break
-            heappop(dr_heap)
-        dr_min = dr_heap[0][0] if dr_heap else 0
+        # ready instance).  The frontier never decreases.
         frontier = min(proc_end)
+        dr_min = min(data_ready.values(), default=0)
         if dr_min > frontier:
             frontier = dr_min
-        if rolling.next_final < frontier:
-            rolling.roll_to(frontier, stats)
         # nothing to scan (and so no new detector state to prune) until
         # the frontier clears at least one window past next_top.
         if detector.next_top + height <= frontier:
-            pattern = None
-            while True:
-                found = detector.scan(frontier)
-                if found is None:
-                    break
-                try:
-                    # a window pair can match spuriously when some op's
-                    # starts skip both windows (e.g. a long-latency node
-                    # placed out of time order, or a node whose
-                    # instances all lag beyond the verified segment);
-                    # the tiling check exposes that, and the candidate
-                    # is rejected rather than accepted or fatal.
-                    found.check_coverage(node_names)
-                except SchedulingError:
-                    detector.reject(found)
-                    continue
-                pattern = found
-                break
-            if pattern is not None:
-                now = perf_counter()
-                stats.detect_seconds += now - t_detect
-                stats.total_seconds = now - t_run
-                return CyclicResult(pattern, stats)
-            detector.prune()
-        stats.detect_seconds += perf_counter() - t_detect
+            if frontier < detector.stall_until:
+                # a rescan would stop at the same candidate having
+                # tried none (see _Detector); only prune()'s starvation
+                # valve can act.
+                if len(detector.occ_order) > detector.retain:
+                    detector.prune()
+            else:
+                t_detect = perf_counter()
+                # rows below the frontier are final, so rolling them
+                # only when a scan reads them changes nothing.
+                rolling.roll_to(frontier, stats)
+                while True:
+                    found = detector.scan(frontier)
+                    if found is None:
+                        break
+                    pattern = _build_pattern(
+                        node_names, lat, end, proc, procs, *found
+                    )
+                    try:
+                        # a window pair can match spuriously when some
+                        # op's starts skip both windows (e.g. a
+                        # long-latency node placed out of time order,
+                        # or a node whose instances all lag beyond the
+                        # verified segment); the tiling check exposes
+                        # that, and the candidate is rejected rather
+                        # than accepted or fatal.
+                        pattern.check_coverage(node_names)
+                    except SchedulingError:
+                        detector.reject(found)
+                        continue
+                    now = perf_counter()
+                    stats.instances_scheduled = instances
+                    stats.unrollings = iters - 1
+                    stats.detect_seconds += now - t_detect
+                    stats.total_seconds = now - t_run
+                    return CyclicResult(pattern, stats)
+                detector.prune()
+                stats.detect_seconds += perf_counter() - t_detect
 
-        if stats.instances_scheduled > max_instances:
+        if instances > max_instances:
             raise PatternNotFoundError(
                 f"no pattern within {max_instances} instances of "
                 f"{graph.name!r} (ordering={ordering!r}, p={procs}, "
@@ -951,19 +987,37 @@ def _check_input(graph: DependenceGraph) -> None:
 
 
 def _build_pattern(
-    placed: dict[Op, Placement], procs: int, t0: int, period: int, shift: int
+    names: list[str],
+    lat: list[int],
+    end: list[int],
+    proc: list[int],
+    procs: int,
+    t0: int,
+    period: int,
+    shift: int,
 ) -> Pattern:
-    prelude = tuple(
-        sorted(p for p in placed.values() if p.start < t0)
-    )
-    kernel = tuple(
-        sorted(p for p in placed.values() if t0 <= p.start < t0 + period)
-    )
+    """The Pattern at ``(t0, period, shift)`` from the instance tables.
+
+    Placements are built only here, in ``(start, proc)`` order — unique
+    per placement, so that is their full dataclass order.
+    """
+    n = len(names)
+    lat_of = lat * (len(end) // n)
+    start = list(map(sub, end, lat_of))  # < 0 when unplaced
+    stop = t0 + period
+    chosen = [i for i, s in enumerate(start) if 0 <= s < stop]
+    rank = list(map(add, map(mul, start, repeat(procs)), proc))
+    chosen.sort(key=rank.__getitem__)
+    split = bisect_left(chosen, t0, key=start.__getitem__)
+    placements = [
+        Placement(start[i], proc[i], Op(names[i % n], i // n), lat_of[i])
+        for i in chosen
+    ]
     return Pattern(
         start=t0,
         period=period,
         iter_shift=shift,
-        prelude=prelude,
-        kernel=kernel,
+        prelude=tuple(placements[:split]),
+        kernel=tuple(placements[split:]),
         processors=procs,
     )

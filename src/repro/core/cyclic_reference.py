@@ -20,9 +20,10 @@ module — its value is being obviously equivalent to the paper's prose.
 from __future__ import annotations
 
 import heapq
+from typing import Callable
 
 from repro._types import Op
-from repro.core.cyclic import CyclicResult, CyclicStats, _check_input, _make_key
+from repro.core.cyclic import ORDERINGS, CyclicResult, CyclicStats, _check_input
 from repro.core.patterns import Pattern, configuration_key
 from repro.core.schedule import Placement
 from repro.errors import PatternNotFoundError, SchedulingError
@@ -30,6 +31,21 @@ from repro.graph.ddg import DependenceGraph
 from repro.machine.model import Machine
 
 __all__ = ["schedule_cyclic_reference"]
+
+
+def _make_key(
+    ordering: str, graph: DependenceGraph
+) -> Callable[[Op, int], tuple]:
+    index = graph.node_index
+    if ordering == "asap":
+        return lambda op, asap: (asap, op.iteration, index(op.node))
+    if ordering == "iteration":
+        return lambda op, asap: (op.iteration, index(op.node))
+    if ordering == "index":
+        return lambda op, asap: (index(op.node), op.iteration)
+    raise SchedulingError(
+        f"unknown ordering {ordering!r}; choose from {ORDERINGS}"
+    )
 
 
 def schedule_cyclic_reference(

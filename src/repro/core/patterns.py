@@ -24,6 +24,7 @@ schedule for any iteration count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from repro._types import Op
@@ -31,6 +32,10 @@ from repro.core.schedule import Placement, Schedule
 from repro.errors import SchedulingError
 
 __all__ = ["Cell", "configuration_key", "Pattern"]
+
+#: Placement's dataclass order as a sort key, compared in C rather than
+#: through the generated Python-level ``__lt__``.
+_PLACEMENT_ORDER = attrgetter("start", "proc", "op", "latency")
 
 # One grid cell: (node, iteration, phase-within-op) or None when idle.
 Cell = "tuple[str, int, int] | None"
@@ -205,13 +210,16 @@ class Pattern:
         def rename(ps: tuple[Placement, ...]) -> tuple[Placement, ...]:
             return tuple(
                 sorted(
-                    Placement(
-                        p.start,
-                        p.proc,
-                        Op(mapping[p.op.node], p.op.iteration),
-                        p.latency,
-                    )
-                    for p in ps
+                    [
+                        Placement(
+                            p.start,
+                            p.proc,
+                            Op(mapping[p.op.node], p.op.iteration),
+                            p.latency,
+                        )
+                        for p in ps
+                    ],
+                    key=_PLACEMENT_ORDER,
                 )
             )
 
@@ -244,13 +252,13 @@ class Pattern:
         ops: list[list[Op]] = [[] for _ in range(self.processors)]
         starts: list[list[int]] = [[] for _ in range(self.processors)]
         lats: list[list[int]] = [[] for _ in range(self.processors)]
-        for p in sorted(self.prelude):
+        for p in sorted(self.prelude, key=_PLACEMENT_ORDER):
             if p.op.iteration < iterations:
                 ops[p.proc].append(p.op)
                 starts[p.proc].append(p.start)
                 lats[p.proc].append(p.latency)
         kernel: dict[int, list[tuple[str, int, int, int]]] = {}
-        for p in sorted(self.kernel):
+        for p in sorted(self.kernel, key=_PLACEMENT_ORDER):
             kernel.setdefault(p.proc, []).append(
                 (p.op.node, p.op.iteration, p.start, p.latency)
             )

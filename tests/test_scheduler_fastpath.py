@@ -10,7 +10,9 @@ asymptotically less detection work.  These tests pin that bar:
   :func:`~repro.core.patterns.configuration_key` would (property test
   over the fuzz generator families);
 * optimized vs reference equivalence over the fuzz families, the
-  checked-in corpus, and a 500-loop fuzz smoke;
+  checked-in corpus, and a 500-loop fuzz smoke; over every ordering,
+  tie-break and a short iteration lead on the corpus and Table 1
+  loops; and on Table 1 seed 13, the loop with the longest detection;
 * cross-sweep memoization: canonical-graph hits across node renames,
   disk-tier sharing, and bit-identity of remapped results;
 * bounded detection state: eviction fires under a tiny retention floor
@@ -19,6 +21,7 @@ asymptotically less detection work.  These tests pin that bar:
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
@@ -26,8 +29,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.cyclic as cyclic_mod
+import repro.core.cyclic_reference as reference_mod
 from repro.core.classify import classify
-from repro.core.cyclic import CyclicStats, schedule_cyclic, _RollingWindows
+from repro.core.cyclic import (
+    ORDERINGS,
+    CyclicStats,
+    _RollingWindows,
+    schedule_cyclic,
+)
 from repro.core.cyclic_reference import schedule_cyclic_reference
 from repro.core.patterns import configuration_key
 from repro.errors import PatternNotFoundError, SchedulingError
@@ -36,6 +45,7 @@ from repro.fuzz.generators import PATTERN_NAMES, generate_case
 from repro.graph.ddg import DependenceGraph
 from repro.machine.comm import UniformComm
 from repro.machine.model import Machine
+from repro.workloads import random_cyclic_loop
 from tests.conftest import fuzz_cases
 
 
@@ -201,6 +211,139 @@ def test_500_loop_fuzz_smoke():
     assert instances > 0
     # windows_hashed << instances_scheduled (it is identically zero)
     assert windows * 10 < instances
+
+
+# ----------------------------------------------------------------------
+# every scheduler configuration, and the Table 1 tail
+# ----------------------------------------------------------------------
+#: (ordering, tie_break, max_iteration_lead): every heap key the
+#: scheduler encodes, with the lead short enough to park often
+CONFIGS = [
+    (ordering, tie_break, lead)
+    for ordering in ORDERINGS
+    for tie_break in ("idle", "first")
+    for lead in (8, 1, 2)
+]
+
+#: Table 1 loops with multi-node Cyclic subgraphs (seed 13 is pinned
+#: on its own below)
+CONFIG_SEEDS = (2, 4, 9, 11, 12, 18, 20, 25)
+
+
+def _table1_subgraph(seed: int):
+    w = random_cyclic_loop(seed)
+    return w.graph.subgraph(classify(w.graph).cyclic), w.machine
+
+
+@pytest.fixture(scope="module")
+def config_subjects():
+    corpus = load_corpus(Path(__file__).parent / "corpus")
+    subjects = []
+    for name in sorted(corpus):
+        sub, machine = _cyclic_subset(corpus[name])
+        if sub is not None:
+            subjects.append((name, sub, machine))
+    for seed in CONFIG_SEEDS:
+        subjects.append((f"table1-{seed}", *_table1_subgraph(seed)))
+    return subjects
+
+
+@pytest.fixture
+def reference_frontiers(monkeypatch):
+    """Every stable-prefix frontier the reference computes.
+
+    The optimized scheduler rolls each schedule row once the frontier
+    passes it, so its ``rows_rolled`` must equal the frontier at which
+    the reference detected the pattern: the last one it computed.
+    """
+    seen: list[int] = []
+    frontier = reference_mod._frontier_reference
+
+    def record(proc_end, data_ready):
+        seen.append(frontier(proc_end, data_ready))
+        return seen[-1]
+
+    monkeypatch.setattr(reference_mod, "_frontier_reference", record)
+    return seen
+
+
+@pytest.mark.parametrize("ordering,tie_break,lead", CONFIGS)
+def test_every_configuration_matches_reference(
+    config_subjects, reference_frontiers, ordering, tie_break, lead
+):
+    kw = dict(ordering=ordering, tie_break=tie_break, max_iteration_lead=lead)
+    for name, sub, machine in config_subjects:
+        reference_frontiers.clear()
+        try:
+            ref = schedule_cyclic_reference(sub, machine, **kw)
+        except (PatternNotFoundError, SchedulingError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                schedule_cyclic(sub, machine, memo=False, **kw)
+            continue
+        opt = schedule_cyclic(sub, machine, memo=False, **kw)
+        assert opt.pattern == ref.pattern, name
+        assert _key_stats(opt.stats) == _key_stats(ref.stats), name
+        assert opt.stats.rows_rolled == reference_frontiers[-1], name
+
+
+@pytest.mark.parametrize("memo", [False, True])
+@pytest.mark.parametrize(
+    "kw,message",
+    [
+        (
+            {"ordering": "bogus"},
+            "unknown ordering 'bogus'; choose from "
+            "('asap', 'iteration', 'index')",
+        ),
+        (
+            {"tie_break": "bogus"},
+            "unknown tie_break 'bogus'; choose 'idle' or 'first'",
+        ),
+    ],
+)
+def test_unknown_configuration_raises(kw, message, memo):
+    g = _ring("bad-config", ("a", "b", "c"))
+    machine = Machine(3, UniformComm(1))
+    with pytest.raises(SchedulingError, match=re.escape(message)):
+        schedule_cyclic(g, machine, memo=memo, **kw)
+    with pytest.raises(SchedulingError, match=re.escape(message)):
+        schedule_cyclic_reference(g, machine, **kw)
+
+
+def test_negative_compile_cost_is_rejected():
+    """Processor selection relies on compile-time costs being >= 0."""
+
+    class Rebate(UniformComm):
+        def compile_cost(self, edge):
+            return -1
+
+    g = _ring("rebate", ("a", "b", "c"))
+    with pytest.raises(SchedulingError, match="communication cost below 0"):
+        schedule_cyclic(g, Machine(3, Rebate(1)), memo=False)
+
+
+def test_table1_seed13_matches_reference(reference_frontiers):
+    """The Table 1 loop whose detection stalls longest: period 570 from
+    cycle 3008, found after 591 unrollings."""
+    sub, machine = _table1_subgraph(13)
+    ref = schedule_cyclic_reference(sub, machine)
+    opt = schedule_cyclic(sub, machine, memo=False)
+    assert opt.pattern == ref.pattern
+    assert _key_stats(opt.stats) == _key_stats(ref.stats)
+    assert opt.stats.rows_rolled == reference_frontiers[-1]
+    p = opt.pattern
+    assert (p.period, p.start, p.iter_shift) == (570, 3008, 57)
+    # (instances, candidates, detection cycle, unrollings)
+    assert _key_stats(opt.stats) == (8844, 92, 3008, 591)
+    assert opt.stats.rows_rolled == 5882
+
+
+def test_table1_seed13_instance_budget():
+    sub, machine = _table1_subgraph(13)
+    with pytest.raises(PatternNotFoundError):
+        schedule_cyclic_reference(sub, machine, max_instances=2000)
+    with pytest.raises(PatternNotFoundError):
+        schedule_cyclic(sub, machine, memo=False, max_instances=2000)
 
 
 # ----------------------------------------------------------------------
