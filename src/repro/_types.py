@@ -3,12 +3,16 @@
 The whole library talks about *operation instances*: a (node, iteration)
 pair naming one dynamic execution of a loop-body statement.  They are
 deliberately tiny immutable values so they can key dictionaries in the
-scheduler's hot loops.
+scheduler's hot loops.  Where a program is emitted and timed, an
+instance is the integer ``it * n + v`` instead, ``v`` being the node's
+index in an ``n``-node graph; :func:`decode_rows` turns such rows back
+into ops.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from itertools import repeat
+from typing import NamedTuple, Sequence
 
 
 class Op(NamedTuple):
@@ -31,6 +35,23 @@ class Op(NamedTuple):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.node}[{self.iteration}]"
+
+
+def decode_rows(
+    rows: Sequence[Sequence[int]], names: Sequence[str]
+) -> list[list[Op]]:
+    """Rows of instance indices ``it * len(names) + v`` as rows of ops."""
+    n = len(names)
+    return [
+        [Op(names[v], it) for it, v in map(divmod, row, repeat(n))]
+        for row in rows
+    ]
+
+
+def tile(cells: list[int], reps: int, step: int, first: int = 0) -> list[int]:
+    """``cells`` repeated ``reps`` times, repetition ``r`` shifted by
+    ``first + r * step`` (``step >= 1``)."""
+    return [c + s for s in range(first, first + reps * step, step) for c in cells]
 
 
 ProcId = int

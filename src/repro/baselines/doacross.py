@@ -26,7 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro._types import Op
+from repro._types import Op, decode_rows
+from repro.core.flowio import interleave
 from repro.core.schedule import Schedule
 from repro.errors import SchedulingError
 from repro.graph.algorithms import topological_order
@@ -98,19 +99,23 @@ class DoacrossSchedule:
 
     def program(self, iterations: int) -> list[list[Op]]:
         """Round-robin per-processor op sequences."""
+        return decode_rows(self.instances(iterations), self.graph.node_names())
+
+    def instances(
+        self, iterations: int, graph: DependenceGraph | None = None
+    ) -> list[list[int]]:
+        """:meth:`program` as instance indices ``it * n + v``, ``v`` a
+        node's index in ``graph`` (default: the loop's graph) and ``n``
+        its node count."""
         if iterations < 0:
             raise SchedulingError("iterations must be >= 0")
-        p = self.machine.processors
-        rows: list[list[Op]] = [[] for _ in range(p)]
-        for i in range(iterations):
-            row = rows[i % p]
-            for n in self.body_order:
-                row.append(Op(n, i))
-        return rows
+        graph = self.graph if graph is None else graph
+        body = list(map(graph.node_index, self.body_order))
+        return interleave(body, len(graph), iterations, self.machine.processors)
 
     def compile_schedule(self, iterations: int) -> Schedule:
         return evaluate(
-            self.graph, self.program(iterations), self.machine.comm
+            self.graph, self.instances(iterations), self.machine.comm
         )
 
     def describe(self) -> str:

@@ -72,8 +72,10 @@ Four structural changes make up the memo-off gain:
    once: node ``v`` is its insertion index, instance ``(v, it)`` the
    integer ``it*n + v``, a dependence a fixed offset between them, and
    placements, ASAP times and predecessor counts are flat lists grown
-   one iteration at a time.  :class:`~repro.core.schedule.Placement`
-   objects are built only for the accepted pattern.  A scan that stops
+   one iteration at a time.  A candidate pattern's integer columns
+   are filled straight from those lists; no
+   :class:`~repro.core.schedule.Placement` is built unless a caller
+   asks the pattern for one.  A scan that stops
    at a candidate it cannot verify before the frontier reaches
    ``t0 + 2*period`` is not repeated until then.
    ``candidates_tried`` counts verification attempts as the reference
@@ -90,7 +92,8 @@ and the scheduler configuration, in the process-wide
 schedule the same canonical Cyclic subgraph under many names, seeds or
 fluctuation levels run the scheduler once; hits are remapped back to
 the caller's node names via :meth:`~repro.core.patterns.Pattern.
-with_nodes` and are bit-identical to a fresh run.
+with_nodes`, which swaps the pattern's name table and nothing else, and
+are bit-identical to a fresh run.
 """
 
 from __future__ import annotations
@@ -103,9 +106,7 @@ from itertools import compress, repeat
 from operator import add, mul, sub
 from time import perf_counter
 
-from repro._types import Op
 from repro.core.patterns import Pattern
-from repro.core.schedule import Placement
 from repro.errors import PatternNotFoundError, SchedulingError
 from repro.graph.ddg import DependenceGraph
 from repro.machine.model import Machine
@@ -998,8 +999,9 @@ def _build_pattern(
 ) -> Pattern:
     """The Pattern at ``(t0, period, shift)`` from the instance tables.
 
-    Placements are built only here, in ``(start, proc)`` order — unique
-    per placement, so that is their full dataclass order.
+    Its columns are filled straight from the tables, in ``(start,
+    proc)`` order — unique per placement, so that is also the order of
+    the placements they stand for.
     """
     n = len(names)
     lat_of = lat * (len(end) // n)
@@ -1009,15 +1011,17 @@ def _build_pattern(
     rank = list(map(add, map(mul, start, repeat(procs)), proc))
     chosen.sort(key=rank.__getitem__)
     split = bisect_left(chosen, t0, key=start.__getitem__)
-    placements = [
-        Placement(start[i], proc[i], Op(names[i % n], i // n), lat_of[i])
-        for i in chosen
-    ]
-    return Pattern(
-        start=t0,
-        period=period,
-        iter_shift=shift,
-        prelude=tuple(placements[:split]),
-        kernel=tuple(placements[split:]),
-        processors=procs,
+    iters, nodes = zip(*map(divmod, chosen, repeat(n))) if chosen else ((), ())
+    return Pattern.from_columns(
+        t0,
+        period,
+        shift,
+        procs,
+        names,
+        [start[i] for i in chosen],
+        [proc[i] for i in chosen],
+        nodes,
+        iters,
+        [lat_of[i] for i in chosen],
+        split,
     )

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
-from repro._types import Op
+from repro._types import Op, decode_rows, tile
 from repro.core.classify import Classification
 from repro.core.patterns import Pattern
 from repro.errors import SchedulingError
@@ -105,8 +106,8 @@ def subset_order(graph: DependenceGraph, names: tuple[str, ...]) -> list[str]:
 
 def kernel_idle(pattern: Pattern, proc: int) -> int:
     """Idle cycles of ``proc`` inside one pattern period."""
-    busy = sum(p.latency for p in pattern.kernel if p.proc == proc)
-    return pattern.period - busy
+    kernel = zip(pattern.procs[pattern.split :], pattern.lats[pattern.split :])
+    return pattern.period - sum(lat for j, lat in kernel if j == proc)
 
 
 def plan_noncyclic(
@@ -147,6 +148,22 @@ def plan_noncyclic(
     return NonCyclicPlan(p_fi, p_fo, None)
 
 
+def interleave(
+    body: Sequence[int], n: int, iterations: int, procs: int
+) -> list[list[int]]:
+    """Iteration ``i`` of ``body`` (node indices of an ``n``-node graph,
+    in order) on row ``i mod procs``, as instance indices ``i * n + v``.
+
+    Fig. 5's Flow-in/Flow-out processors, DOALL loops and DOACROSS all
+    emit their programs this way.
+    """
+    body = list(body)
+    return [
+        tile(body, len(range(j, iterations, procs)), procs * n, j * n)
+        for j in range(procs)
+    ]
+
+
 def noncyclic_program(
     graph: DependenceGraph,
     names: tuple[str, ...],
@@ -159,10 +176,6 @@ def noncyclic_program(
     """
     if procs < 1:
         raise SchedulingError("noncyclic_program needs >= 1 processor")
-    order = subset_order(graph, names)
-    out: list[list[Op]] = [[] for _ in range(procs)]
-    for i in range(iterations):
-        row = out[i % procs]
-        for name in order:
-            row.append(Op(name, i))
-    return out
+    order = [graph.node_index(name) for name in subset_order(graph, names)]
+    rows = interleave(order, len(graph), iterations, procs)
+    return decode_rows(rows, graph.node_names())

@@ -28,6 +28,7 @@ from repro.errors import SchedulingError
 from repro.graph.ddg import DependenceGraph
 from repro.graph.unwind import UnwoundLoop
 from repro.machine.model import Machine
+from repro.sim.engine import encode_program
 from repro.sim.fastpath import evaluate
 
 __all__ = ["NormalizedSchedule", "schedule_any_loop"]
@@ -66,6 +67,14 @@ class NormalizedSchedule:
             mapped = [self.unwound.to_original(op) for op in row]
             out.append([op for op in mapped if op.iteration < iterations])
         return out
+
+    def instances(
+        self, iterations: int, graph: DependenceGraph | None = None
+    ) -> list[list[int]]:
+        """:meth:`program` encoded as instance indices over ``graph``
+        (default: the original graph)."""
+        graph = self.graph if graph is None else graph
+        return encode_program(graph, self.program(iterations))
 
     def compile_schedule(self, iterations: int) -> Schedule:
         """Concrete times for the original instances.

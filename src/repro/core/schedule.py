@@ -15,11 +15,10 @@ benchmark in the repository:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from repro._types import Op
+from repro._types import Op, decode_rows
 from repro.errors import ValidationError
 from repro.graph.ddg import DependenceGraph
 from repro.machine.comm import CommModel
@@ -27,9 +26,9 @@ from repro.machine.comm import CommModel
 __all__ = ["Placement", "Schedule"]
 
 
-@dataclass(frozen=True, order=True)
-class Placement:
-    """One scheduled operation instance."""
+class Placement(NamedTuple):
+    """One scheduled operation instance, ordered by ``(start, proc)``
+    first (a slotted record: no attribute dict per placement)."""
 
     start: int
     proc: int
@@ -54,16 +53,21 @@ class Schedule:
     """A complete assignment of op instances to processors and cycles.
 
     A schedule built by :meth:`from_rows` holds only per-processor rows
-    of ops, start times and latencies; its :class:`Placement` objects
-    are built on the first placement-level access (``placement``,
-    ``start``, ``ops_on``, ``placements``, ``add``, ...).  ``makespan``,
-    ``order``, ``used_processors`` and ``len`` read the rows directly.
+    of ops (or of instance indices), start times and latencies; its
+    :class:`Placement` objects are built on the first placement-level
+    access (``placement``, ``start``, ``ops_on``, ``placements``,
+    ``add``, ...).  ``makespan``, ``used_processors`` and ``len`` read
+    the rows directly.
     """
 
     #: ``(rows, starts, latencies)`` of a schedule whose placements are
-    #: not built yet, else ``None``.  A class attribute, so a schedule
+    #: not built yet, else ``None``.  Class attributes, so a schedule
     #: pickled before rows existed unpickles as a built one.
     _rows: tuple | None = None
+    #: node names when the rows hold instance indices, else ``None``
+    _names: tuple[str, ...] | None = None
+    #: the makespan, when whoever built the rows already knew it
+    _makespan: int | None = None
 
     def __init__(self, processors: int) -> None:
         if processors < 1:
@@ -79,12 +83,17 @@ class Schedule:
         rows: list[list[Op]],
         starts: list[list[int]],
         latencies: list[list[int]],
+        *,
+        names: tuple[str, ...] | None = None,
+        makespan: int | None = None,
     ) -> "Schedule":
         """A schedule given row by row, one row per processor.
 
         ``rows[j]`` lists processor ``j``'s ops in start order, and
         ``starts[j]`` / ``latencies[j]`` their start cycles and
-        latencies.  The lists are kept, not copied.
+        latencies.  With ``names`` the rows hold instance indices
+        ``it * len(names) + v`` instead, decoded on first use.  The
+        lists are kept, not copied.
         """
         if len(rows) < 1:
             raise ValidationError("schedule needs >= 1 processor")
@@ -92,7 +101,12 @@ class Schedule:
         sched.processors = len(rows)
         sched._sorted = True
         sched._rows = (rows, starts, latencies)
+        sched._names, sched._makespan = names, makespan
         return sched
+
+    def _op_rows(self) -> list[list[Op]]:
+        rows, names = self._rows[0], self._names
+        return rows if names is None else decode_rows(rows, names)
 
     def __getattr__(self, name: str):
         # Only reached for attributes that are not set: the placement
@@ -103,7 +117,8 @@ class Schedule:
         if rows is not None:  # else another thread built them meanwhile
             by_op: dict[Op, Placement] = {}
             by_proc: list[list[Placement]] = []
-            for j, (ops, starts, lats) in enumerate(zip(*rows)):
+            op_rows = self._op_rows()
+            for j, (ops, starts, lats) in enumerate(zip(op_rows, *rows[1:])):
                 row = [
                     Placement(start, j, op, lat)
                     for op, start, lat in zip(ops, starts, lats)
@@ -112,6 +127,7 @@ class Schedule:
                 by_proc.append(row)
             self._by_op, self._by_proc = by_op, by_proc
             self._rows = None
+            self.__dict__.pop("_makespan", None)  # add() may change it
         return self.__dict__[name]
 
     # ------------------------------------------------------------------
@@ -173,6 +189,8 @@ class Schedule:
 
     def makespan(self) -> int:
         """Total cycles: max finish time over all ops (0 if empty)."""
+        if self._makespan is not None:
+            return self._makespan
         rows = self._rows
         if rows is not None:
             _, starts, lats = rows
@@ -194,9 +212,8 @@ class Schedule:
 
     def order(self) -> list[list[Op]]:
         """Per-processor op sequences in start order (for the simulator)."""
-        rows = self._rows
-        if rows is not None:
-            return [list(ops) for ops in rows[0]]
+        if self._rows is not None:
+            return [list(ops) for ops in self._op_rows()]
         self._ensure_sorted()
         return [[p.op for p in row] for row in self._by_proc]
 

@@ -28,20 +28,17 @@ import heapq
 from dataclasses import dataclass
 from typing import Protocol
 
-from repro._types import Op
+from repro._types import Op, decode_rows
 from repro.core.classify import Classification
 from repro.core.cyclic import CyclicStats
-from repro.core.flowio import (
-    NonCyclicPlan,
-    noncyclic_program,
-    subset_order,
-)
+from repro.core.flowio import NonCyclicPlan, interleave, subset_order
 from repro.core.patterns import Pattern
 from repro.core.schedule import Schedule
 from repro.errors import SchedulingError
 from repro.graph.algorithms import topological_order
 from repro.graph.ddg import DependenceGraph
 from repro.machine.model import Machine
+from repro.sim.engine import encode_program
 from repro.sim.fastpath import evaluate
 
 __all__ = ["ScheduledLoop", "CombinedLoop", "schedule_loop", "LoopScheduleLike"]
@@ -57,6 +54,10 @@ class LoopScheduleLike(Protocol):
     def total_processors(self) -> int: ...
 
     def program(self, iterations: int) -> list[list[Op]]: ...
+
+    def instances(
+        self, iterations: int, graph: DependenceGraph | None = None
+    ) -> list[list[int]]: ...
 
     def compile_schedule(self, iterations: int) -> Schedule: ...
 
@@ -115,60 +116,61 @@ class ScheduledLoop:
         Processors are numbered compactly: Cyclic processors first (in
         pattern order), then Flow-in, then Flow-out processors; with
         folding, non-Cyclic ops share the chosen Cyclic processor.
+        The ops are decoded from :meth:`instances`, except in a folded
+        schedule, whose merge orders ops.
         """
-        if iterations < 0:
-            raise SchedulingError("iterations must be >= 0")
+        if self._folds(iterations):
+            return self._folded_program(iterations)
+        return decode_rows(self.instances(iterations), self.graph.node_names())
+
+    def instances(
+        self, iterations: int, graph: DependenceGraph | None = None
+    ) -> list[list[int]]:
+        """:meth:`program` as rows of instance indices ``it * n + v``.
+
+        ``v`` is a node's index in ``graph`` (default: this loop's
+        graph) and ``n`` its node count, so the rows lower against it.
+        """
+        graph = self.graph if graph is None else graph
+        if self._folds(iterations):
+            return encode_program(graph, self._folded_program(iterations))
         if iterations == 0:
             return [[] for _ in range(max(1, self.total_processors))]
+        n, index = len(graph), graph.node_index
         if self.pattern is None:
-            return self._doall_program(iterations)
+            body = topological_order(self.graph, intra_only=True)
+            procs = self.machine.processors
+            return interleave(list(map(index, body)), n, iterations, procs)
         assert self.plan is not None
-
-        ops, starts, _ = self.pattern.rows(iterations)
-        used = self.cyclic_processors
-        if self.plan.fold_into is not None:
-            return self._folded_program(
-                [ops[orig] for orig in used],
-                [starts[orig] for orig in used],
-                used.index(self.plan.fold_into),
-                iterations,
-            )
-
-        rows = [ops[orig] for orig in used]
+        pattern = self.pattern
+        rows = pattern.rows(iterations, list(map(index, pattern.names)), n)[0]
+        rows = [rows[j] for j in self.cyclic_processors]
         c = self.classification
-        if self.plan.flow_in_procs:
-            rows += noncyclic_program(
-                self.graph, c.flow_in, iterations, self.plan.flow_in_procs
-            )
-        if self.plan.flow_out_procs:
-            rows += noncyclic_program(
-                self.graph, c.flow_out, iterations, self.plan.flow_out_procs
-            )
+        for names, procs in (
+            (c.flow_in, self.plan.flow_in_procs),
+            (c.flow_out, self.plan.flow_out_procs),
+        ):
+            if procs:
+                body = map(index, subset_order(self.graph, names))
+                rows += interleave(list(body), n, iterations, procs)
         return rows
 
     def compile_schedule(self, iterations: int) -> Schedule:
         """Concrete start times under compile-time communication costs."""
         return evaluate(
-            self.graph, self.program(iterations), self.machine.comm
+            self.graph, self.instances(iterations), self.machine.comm
         )
 
     # ------------------------------------------------------------------
-    def _doall_program(self, iterations: int) -> list[list[Op]]:
-        body = topological_order(self.graph, intra_only=True)
-        rows: list[list[Op]] = [[] for _ in range(self.machine.processors)]
-        for i in range(iterations):
-            row = rows[i % self.machine.processors]
-            for name in body:
-                row.append(Op(name, i))
-        return rows
+    def _folds(self, iterations: int) -> bool:
+        """Whether :meth:`program` merges non-Cyclic ops into a Cyclic
+        processor (raising for a negative trip count)."""
+        if iterations < 0:
+            raise SchedulingError("iterations must be >= 0")
+        plan = self.plan
+        return iterations > 0 and plan is not None and plan.fold_into is not None
 
-    def _folded_program(
-        self,
-        cyclic_rows: list[list[Op]],
-        cyclic_starts: list[list[int]],
-        fold_proc: int,
-        iterations: int,
-    ) -> list[list[Op]]:
+    def _folded_program(self, iterations: int) -> list[list[Op]]:
         """Merge non-Cyclic ops into the chosen Cyclic processor.
 
         A global priority-Kahn pass over the instance DAG plus the
@@ -177,12 +179,18 @@ class ScheduledLoop:
         a consistent global history).  Priorities steer non-Cyclic ops
         toward their deadlines but do not affect correctness.
 
-        ``cyclic_rows`` are the Cyclic processors' rows (compact
-        numbering) and ``cyclic_starts`` their nominal pattern starts;
-        ``fold_proc`` is the row that takes the non-Cyclic ops.
+        The Cyclic processors' rows (compact numbering) keep their
+        pattern order, and their nominal pattern starts are the
+        priorities; row ``fold_proc`` takes the non-Cyclic ops.
         """
         c = self.classification
         graph = self.graph
+        assert self.pattern is not None and self.plan is not None
+        rows, starts, _ = self.pattern.rows(iterations)
+        used = self.cyclic_processors
+        cyclic_rows = decode_rows([rows[j] for j in used], self.pattern.names)
+        cyclic_starts = [starts[j] for j in used]
+        fold_proc = used.index(self.plan.fold_into)
 
         noncyclic = [
             Op(n, i)
@@ -335,9 +343,20 @@ class CombinedLoop:
             rows.extend(part.program(iterations))
         return rows
 
+    def instances(
+        self, iterations: int, graph: DependenceGraph | None = None
+    ) -> list[list[int]]:
+        """:meth:`program` as instance indices over ``graph``'s nodes
+        (default: the whole loop's graph)."""
+        graph = self.graph if graph is None else graph
+        rows: list[list[int]] = []
+        for part in self.parts:
+            rows.extend(part.instances(iterations, graph))
+        return rows
+
     def compile_schedule(self, iterations: int) -> Schedule:
         return evaluate(
-            self.graph, self.program(iterations), self.machine.comm
+            self.graph, self.instances(iterations), self.machine.comm
         )
 
     def describe(self) -> str:

@@ -119,7 +119,7 @@ def _doacross_makespan(
         str(iterations),
     )
     lowered = lowered_program(
-        cache, key, g, lambda: doa.program(iterations)
+        cache, key, g, lambda: doa.instances(iterations)
     )
     return evaluate(g, lowered, m.comm, use_runtime=True).makespan()
 

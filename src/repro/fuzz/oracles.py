@@ -180,7 +180,7 @@ def _measured_delta(part, comm, n0: int, span: int) -> int:
     from repro.sim.fastpath import evaluate
 
     def makespan(n: int) -> int:
-        return evaluate(part.graph, part.program(n), comm).makespan()
+        return evaluate(part.graph, part.instances(n), comm).makespan()
 
     return makespan(n0 + span) - makespan(n0)
 

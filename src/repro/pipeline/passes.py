@@ -38,7 +38,6 @@ from repro.pipeline.context import CompilationContext
 from repro.pipeline.report import Diagnostic
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro._types import Op
     from repro.graph.ddg import DependenceGraph
     from repro.sim.fastpath import LoweredProgram
 
@@ -490,7 +489,7 @@ class EvaluatePass(Pass):
             ctx.cache,
             self._lowering_key(ctx),
             graph,
-            lambda: scheduled.program(self.iterations),
+            lambda: scheduled.instances(self.iterations, graph),
         )
         schedule = evaluate(
             graph, lowered, ctx.machine.comm, use_runtime=self.use_runtime
@@ -498,7 +497,7 @@ class EvaluatePass(Pass):
         out.artifacts["evaluation"] = schedule
         out.counters["iterations"] = self.iterations
         out.counters["makespan"] = schedule.makespan()
-        out.counters["processors"] = len(lowered.rows)
+        out.counters["processors"] = len(lowered.instances)
         out.counters["ops"] = lowered.bounds[-1]
 
 
@@ -506,9 +505,12 @@ def lowered_program(
     cache: ArtifactCache | None,
     key: str | None,
     graph: DependenceGraph,
-    program: Callable[[], Sequence[Sequence[Op]]],
+    program: Callable[[], Sequence[Sequence[int]]],
 ) -> LoweredProgram:
     """``lower(graph, program())``, kept in ``cache`` under ``key``.
+
+    ``program`` emits instance indices over ``graph`` (a schedule's
+    ``instances``).
 
     Uncached when either is ``None``.  The lowered program is shared
     by every caller that finds it, and none of them mutates it.

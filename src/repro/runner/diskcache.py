@@ -117,9 +117,12 @@ class DiskCache:
             return None
         try:
             entry = pickle.loads(blob)
-        except (pickle.PickleError, EOFError, AttributeError, ValueError):
+        except (
+            pickle.PickleError, EOFError, AttributeError, TypeError, ValueError
+        ):
             # Checksummed but undeserializable — e.g. written by an
-            # incompatible library version.  Same treatment.
+            # incompatible library version (a class whose layout
+            # changed).  Same treatment.
             self._quarantine(key, "unpickle")
             self.misses += 1
             return None

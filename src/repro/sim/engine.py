@@ -34,7 +34,6 @@ from repro.core.schedule import Schedule
 from repro.errors import (
     DeadlockError,
     ProcessorFailureError,
-    ScheduleValidationError,
     SimulationError,
     StallError,
 )
@@ -45,6 +44,7 @@ __all__ = [
     "ExecutionTrace",
     "Message",
     "Segment",
+    "encode_program",
     "execution_segments",
     "simulate",
     "validate_program",
@@ -160,6 +160,16 @@ def execution_segments(trace: ExecutionTrace) -> list[Segment]:
     return segments
 
 
+def encode_program(
+    graph: DependenceGraph, order: Sequence[Sequence[Op]]
+) -> list[list[int]]:
+    """``order``'s ops as instance indices ``it * n + v``: ``v`` the
+    node's index in ``graph`` (:class:`~repro.errors.GraphError` if it
+    has none) and ``n`` its node count."""
+    index, n = graph.node_index, len(graph)
+    return [[it * n + index(node) for node, it in row] for row in order]
+
+
 def validate_program(
     graph: DependenceGraph, order: Sequence[Sequence[Op]]
 ) -> dict[Op, int]:
@@ -170,29 +180,14 @@ def validate_program(
     the offending op/processor — duplicated instance, negative
     iteration, empty processor set — instead of surfacing as a
     ``KeyError`` deep inside the event loop.  Unknown graph nodes keep
-    raising :class:`~repro.errors.GraphError` via ``graph.node``.
-    Shared by both simulator implementations (:func:`simulate` and
-    :func:`repro.sim.fastpath.evaluate`).
+    raising :class:`~repro.errors.GraphError` via ``graph.node``.  The
+    checks are the ones :func:`repro.sim.fastpath.lower` makes, on the
+    encoded program.
     """
-    if len(order) < 1:
-        raise ScheduleValidationError(
-            "need at least one processor (program has no processor rows)"
-        )
-    proc_of: dict[Op, int] = {}
-    for j, ops in enumerate(order):
-        for op in ops:
-            if op in proc_of:
-                raise ScheduleValidationError(
-                    f"{op} appears twice in the program "
-                    f"(on P{proc_of[op]} and P{j})"
-                )
-            graph.node(op.node)  # raises GraphError on unknown nodes
-            if op.iteration < 0:
-                raise ScheduleValidationError(
-                    f"negative iteration: {op} on P{j}"
-                )
-            proc_of[op] = j
-    return proc_of
+    from repro.sim.fastpath import instance_positions
+
+    instance_positions(encode_program(graph, order), graph.node_names())
+    return {op: j for j, ops in enumerate(order) for op in ops}
 
 
 def simulate(

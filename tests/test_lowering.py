@@ -193,11 +193,17 @@ def test_lowered_solve_matches_reference(graph, machine):
 
 
 def test_lowered_program_is_still_the_program():
+    # iterating yields the rows of instance indices, which lower to the
+    # same program; the ops are decoded on demand
     w = fig7()
-    program = schedule_doacross(w.graph, w.machine).program(5)
+    doa = schedule_doacross(w.graph, w.machine)
+    program = doa.program(5)
     lowered = lower(w.graph, program)
-    assert [list(row) for row in lowered] == program
+    assert [list(row) for row in lowered] == doa.instances(5)
+    assert lowered.rows == program
     assert lowered.proc_of == validate_program(w.graph, program)
+    again = lower(w.graph, lowered)
+    assert (again.bounds, again.preds) == (lowered.bounds, lowered.preds)
 
 
 def _deadlocked():
@@ -361,13 +367,13 @@ class TestLoweringCache:
             repro.workloads, "random_cyclic_loop", counting_loop
         )
         doacross = []
-        real_program = DoacrossSchedule.program
+        real_program = DoacrossSchedule.instances
 
-        def counting_program(self, iterations):
+        def counting_program(self, iterations, graph=None):
             doacross.append(iterations)
-            return real_program(self, iterations)
+            return real_program(self, iterations, graph)
 
-        monkeypatch.setattr(DoacrossSchedule, "program", counting_program)
+        monkeypatch.setattr(DoacrossSchedule, "instances", counting_program)
 
         cells = table1_cells([4], iterations=30)
         assert len(cells) == 3
