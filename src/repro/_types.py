@@ -3,10 +3,11 @@
 The whole library talks about *operation instances*: a (node, iteration)
 pair naming one dynamic execution of a loop-body statement.  They are
 deliberately tiny immutable values so they can key dictionaries in the
-scheduler's hot loops.  Where a program is emitted and timed, an
-instance is the integer ``it * n + v`` instead, ``v`` being the node's
-index in an ``n``-node graph; :func:`decode_rows` turns such rows back
-into ops.
+scheduler's hot loops.  Below the report — program emission, the
+lowering, both simulators and codegen — an instance is the integer
+``it * n + v`` instead, ``v`` being the node's index in an ``n``-node
+graph; :func:`decode_rows` turns such rows back into ops where a report,
+a message or an error names them.
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ from repro.errors import (
     StallError,
 )
 from repro.sim.engine import simulate
-from repro.sim.fastpath import evaluate
+from repro.sim.fastpath import evaluate, lower
 
 __all__ = ["ChaosRunResult", "run_resilient"]
 
@@ -195,7 +195,7 @@ def run_resilient(
     programs still raise their structured errors.
     """
     graph, comm = scheduled.graph, scheduled.machine.comm
-    program = scheduled.program(iterations)
+    program = lower(graph, scheduled.instances(iterations))
     fault_free = evaluate(graph, program, comm, use_runtime=True)
     ff_makespan = fault_free.makespan()
     watchdog = int(watchdog_factor * max(1, ff_makespan))
@@ -242,7 +242,7 @@ def _recover(
     events: list,
 ) -> ChaosRunResult:
     failed = dict(err.failed)
-    program_width = len(scheduled.program(iterations))
+    program_width = len(scheduled.instances(iterations))
     survivors = [j for j in range(program_width) if j not in failed]
     result = ChaosRunResult(
         outcome="failed",

@@ -50,19 +50,20 @@ class ParallelRun:
     messages: int = 0
 
 
-def _interleaving(program: ParallelProgram) -> list[Op]:
-    """A global execution order consistent with the program.
+def _interleaving(program: ParallelProgram) -> list[int]:
+    """Positions of the program's ops in a global execution order.
 
     Any dependence-consistent interleaving yields the same values
     (dataflow determinism); we use the same deadlock-detecting forward
-    pass as the simulator so a cyclic-wait program is rejected here
-    too.
+    pass as the simulator, on the program's lowering, so a cyclic-wait
+    program is rejected here too.
     """
     from repro.machine.comm import ZeroComm
     from repro.sim.fastpath import evaluate
 
-    sched = evaluate(program.graph, program.order, ZeroComm())
-    return [p.op for p in sched.placements()]
+    sched = evaluate(program.graph, program.lowered, ZeroComm())
+    position = program.positions
+    return [position[p.op] for p in sched.placements()]
 
 
 def run_parallel_loop(
@@ -133,7 +134,9 @@ def run_parallel_loop(
             return executed[producer]
         return delivered.get((reader, producer), fallback)
 
-    for op in _interleaving(program):
+    ops, receivers = program.ops(), program.receivers
+    for k in _interleaving(program):
+        op = ops[k]
         a = assigns[op.node]
 
         def read_array(name: str, index: int) -> float:
@@ -147,8 +150,8 @@ def run_parallel_loop(
         value = eval_expr(a.expr, op.iteration, read_array, read_scalar)
         run.values[(op.node, op.iteration)] = value
         executed[op] = value
-        for t in program.sends_of(op):
-            delivered[(t.dst, op)] = value
+        for dst in receivers[k]:
+            delivered[(ops[dst], op)] = value
             run.messages += 1
     return run
 
@@ -198,25 +201,41 @@ def run_parallel_graph(
     Every edge routes the producer instance's value; an op's value
     hashes its sorted input values (missing producers contribute a
     live-in default keyed by the *edge*, so a dropped message changes
-    the result).
+    the result).  Ops are positions in the program's lowering; an
+    op's inputs are its instance predecessors in ``graph``, ``x +
+    offset`` (:func:`~repro.sim.fastpath.pred_offsets`), read from its
+    own processor's mailbox, and its sends the program's.
     """
-    proc_of = program.assignment()
-    # per-processor mailbox: (proc, producer instance) -> value
-    mailbox: dict[tuple[int, Op], float] = {}
+    from repro.sim.fastpath import lower, pred_offsets
+
+    lowered = program.lowered
+    if lowered.names != tuple(graph.node_names()):
+        lowered = lower(graph, program.order)
+    flat = [x for row in lowered.instances for x in row]
+    proc, receivers = lowered.procs(), program.receivers
+    position = {x: k for k, x in enumerate(flat)}
+    offsets = pred_offsets(graph)
+    names, n = lowered.names, len(lowered.names)
+    # per-processor mailbox: (proc, producer position) -> value
+    mailbox: dict[tuple[int, int], float] = {}
     run = ParallelRun(values={})
-    for op in _interleaving(program):
-        j = proc_of[op]
+    for k in _interleaving(program):
+        j, x = proc[k], flat[k]
+        node, it = names[x % n], x // n
         inputs: list[float] = []
-        for pred, edge in graph.instance_predecessors(op):
-            got = mailbox.get((j, pred))
+        for off, edge in offsets[x % n]:
+            y = x + off
+            if y < 0:  # a live-in from before the loop
+                continue
+            got = mailbox.get((j, position.get(y, -1)))
             if got is None:
-                got = default_live_in(f"{edge.src}->{edge.dst}", pred.iteration)
+                got = default_live_in(f"{edge.src}->{edge.dst}", y // n)
             inputs.append(got)
-        value = _hash_value(op.node, op.iteration, sorted(inputs))
-        run.values[(op.node, op.iteration)] = value
-        mailbox[(j, op)] = value
-        for t in program.sends_of(op):
-            mailbox[(t.dst_proc, op)] = value
+        value = _hash_value(node, it, sorted(inputs))
+        run.values[(node, it)] = value
+        mailbox[(j, k)] = value
+        for dst in receivers[k]:
+            mailbox[(proc[dst], k)] = value
             run.messages += 1
     return run
 

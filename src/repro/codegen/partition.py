@@ -5,15 +5,22 @@ to the machine: one op sequence per processor plus, derived from the
 dependence graph, the SEND/RECEIVE set of every op.  It is built from
 any scheduled loop (ours, DOACROSS, sequential) and is what the
 emitter prints and the interpreter executes.
+
+The program is lowered once (:func:`repro.sim.fastpath.lower`): an
+op's RECEIVEs are its lowered cross-processor predecessors, and its
+SENDs the same links read from the producer's side.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+
 from repro._types import Op
 from repro.core.scheduler import LoopScheduleLike
-from repro.errors import CodegenError
+from repro.errors import CodegenError, ScheduleValidationError
 from repro.graph.ddg import DependenceGraph
+from repro.sim.fastpath import LoweredProgram, lower
 
 __all__ = ["Transfer", "ParallelProgram", "partition"]
 
@@ -30,19 +37,26 @@ class Transfer:
 
 @dataclass(frozen=True)
 class ParallelProgram:
-    """Per-processor op sequences plus derived communication sets."""
+    """Per-processor op sequences plus derived communication sets.
+
+    ``lowered`` is the program lowered against ``graph``; it is built
+    from ``order`` unless given.  A malformed program (an op on two
+    processors, a negative iteration, no processor) raises
+    :class:`~repro.errors.CodegenError`.
+    """
 
     graph: DependenceGraph
     order: tuple[tuple[Op, ...], ...]
     iterations: int
+    lowered: LoweredProgram = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seen: set[Op] = set()
-        for row in self.order:
-            for op in row:
-                if op in seen:
-                    raise CodegenError(f"{op} assigned to two processors")
-                seen.add(op)
+        if self.lowered is None:
+            try:
+                lowered = lower(self.graph, self.order)
+            except ScheduleValidationError as exc:
+                raise CodegenError(str(exc)) from None
+            object.__setattr__(self, "lowered", lowered)
 
     @property
     def processors(self) -> int:
@@ -56,35 +70,53 @@ class ParallelProgram:
     def ops(self) -> list[Op]:
         return [op for row in self.order for op in row]
 
+    @cached_property
+    def _sites(self) -> list[tuple[Op, int]]:
+        """Each position's op and processor."""
+        return [(op, j) for j, row in enumerate(self.order) for op in row]
+
+    @cached_property
+    def positions(self) -> dict[Op, int]:
+        """Each op's row-major position in the lowered program."""
+        return {op: k for k, (op, _j) in enumerate(self._sites)}
+
+    @cached_property
+    def receivers(self) -> list[list[int]]:
+        """The positions each position sends its value to, in the order
+        of the producer node's successor edges."""
+        graph, lowered = self.graph, self.lowered
+        rank = {e: r for v in graph for r, e in enumerate(graph.successors(v))}
+        sends: list[list[tuple[int, int]]] = [[] for _ in lowered.preds]
+        for k, entry in enumerate(lowered.preds):
+            for pi, slot in entry:
+                if slot:
+                    sends[pi].append((rank[lowered.edges[slot - 1]], k))
+        return [[k for _, k in sorted(row)] for row in sends]
+
+    def _transfer(self, src: int, dst: int) -> Transfer:
+        (a, i), (b, j) = self._sites[src], self._sites[dst]
+        return Transfer(a, b, i, j)
+
     def transfers(self) -> list[Transfer]:
         """All cross-processor value transfers, in (dst, src) order."""
-        proc_of = self.assignment()
-        out: list[Transfer] = []
-        for op, j in proc_of.items():
-            for pred, _edge in self.graph.instance_predecessors(op):
-                pj = proc_of.get(pred)
-                if pj is not None and pj != j:
-                    out.append(Transfer(pred, op, pj, j))
+        out = [
+            self._transfer(pi, k)
+            for k, entry in enumerate(self.lowered.preds)
+            for pi, slot in entry
+            if slot
+        ]
         out.sort(key=lambda t: (t.dst, t.src))
         return out
 
     def receives_of(self, op: Op) -> list[Transfer]:
-        proc_of = self.assignment()
-        j = proc_of[op]
+        k = self.positions[op]
         return [
-            Transfer(pred, op, proc_of[pred], j)
-            for pred, _e in self.graph.instance_predecessors(op)
-            if pred in proc_of and proc_of[pred] != j
+            self._transfer(pi, k) for pi, slot in self.lowered.preds[k] if slot
         ]
 
     def sends_of(self, op: Op) -> list[Transfer]:
-        proc_of = self.assignment()
-        j = proc_of[op]
-        return [
-            Transfer(op, succ, j, proc_of[succ])
-            for succ, _e in self.graph.instance_successors(op)
-            if succ in proc_of and proc_of[succ] != j
-        ]
+        k = self.positions[op]
+        return [self._transfer(k, dst) for dst in self.receivers[k]]
 
 
 def partition(
@@ -93,7 +125,6 @@ def partition(
     """Materialize a scheduled loop into a parallel program."""
     if iterations < 1:
         raise CodegenError("iterations must be >= 1")
-    order = tuple(
-        tuple(row) for row in scheduled.program(iterations) if True
-    )
-    return ParallelProgram(scheduled.graph, order, iterations)
+    lowered = lower(scheduled.graph, scheduled.instances(iterations))
+    order = tuple(map(tuple, lowered.rows))
+    return ParallelProgram(scheduled.graph, order, iterations, lowered)

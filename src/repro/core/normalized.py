@@ -13,7 +13,8 @@ instance ``(v@r, q)`` with ``i = q * factor + r``
 (:class:`repro.graph.unwind.UnwoundLoop`), and a program for original
 iteration count ``n`` is derived from the unwound program for
 ``ceil(n / factor)`` unwound iterations with the overhanging instances
-(original iteration >= n) dropped.
+(original iteration >= n) dropped.  The mapping is arithmetic on
+instance indices (:meth:`NormalizedSchedule.instances`).
 """
 
 from __future__ import annotations
@@ -22,21 +23,24 @@ import math
 from dataclasses import dataclass
 
 from repro._types import Op
-from repro.core.scheduler import CombinedLoop, ScheduledLoop
-from repro.core.schedule import Schedule
+from repro.core.scheduler import CombinedLoop, InstanceProgram, ScheduledLoop
 from repro.errors import SchedulingError
 from repro.graph.ddg import DependenceGraph
 from repro.graph.unwind import UnwoundLoop
 from repro.machine.model import Machine
-from repro.sim.engine import encode_program
-from repro.sim.fastpath import evaluate
 
 __all__ = ["NormalizedSchedule", "schedule_any_loop"]
 
 
 @dataclass(frozen=True)
-class NormalizedSchedule:
-    """A schedule of an unwound loop, viewed in original coordinates."""
+class NormalizedSchedule(InstanceProgram):
+    """A schedule of an unwound loop, viewed in original coordinates.
+
+    Its program and compile-time schedule are the original loop's
+    instances, timed on the original graph — valid because unwinding
+    preserves instance dependences exactly, so the per-processor
+    orders are dependence-consistent in either coordinate system.
+    """
 
     graph: DependenceGraph  # the ORIGINAL graph (any distances)
     machine: Machine
@@ -56,37 +60,29 @@ class NormalizedSchedule:
         """Rate per *original* iteration."""
         return self.inner.steady_cycles_per_iteration() / self.factor
 
-    def program(self, iterations: int) -> list[list[Op]]:
-        """Per-processor sequences of original-loop instances."""
-        if iterations < 0:
-            raise SchedulingError("iterations must be >= 0")
-        inner_iters = math.ceil(iterations / self.factor)
-        rows = self.inner.program(inner_iters)
-        out: list[list[Op]] = []
-        for row in rows:
-            mapped = [self.unwound.to_original(op) for op in row]
-            out.append([op for op in mapped if op.iteration < iterations])
-        return out
-
     def instances(
         self, iterations: int, graph: DependenceGraph | None = None
     ) -> list[list[int]]:
-        """:meth:`program` encoded as instance indices over ``graph``
-        (default: the original graph)."""
-        graph = self.graph if graph is None else graph
-        return encode_program(graph, self.program(iterations))
+        """Per-processor rows of original-loop instances, as indices
+        ``it * n + v`` over ``graph`` (default: the original graph).
 
-    def compile_schedule(self, iterations: int) -> Schedule:
-        """Concrete times for the original instances.
-
-        The timing recurrence is evaluated directly on the original
-        graph — valid because unwinding preserves instance dependences
-        exactly, so the per-processor orders are dependence-consistent
-        in either coordinate system.
+        The inner schedule's rows over the unwound graph are mapped by
+        arithmetic: unwound node ``w``, which is node ``v`` at residue
+        ``r``, at unwound iteration ``q`` is ``v`` at iteration ``q *
+        factor + r``, that is ``q * factor * n + (r * n + v)``.
         """
-        return evaluate(
-            self.graph, self.program(iterations), self.machine.comm
-        )
+        graph = self.graph if graph is None else graph
+        if iterations < 0:
+            raise SchedulingError("iterations must be >= 0")
+        unwound, f, n = self.unwound.graph, self.factor, len(graph)
+        base = []
+        for name in unwound.node_names():
+            node, r = self.unwound.to_original(Op(name, 0))
+            base.append(r * n + graph.node_index(node))
+        nu, step, limit = len(unwound), f * n, iterations * n
+        rows = self.inner.instances(math.ceil(iterations / f), unwound)
+        mapped = ((x // nu * step + base[x % nu] for x in row) for row in rows)
+        return [[y for y in row if y < limit] for row in mapped]
 
     def describe(self) -> str:
         head = (

@@ -38,10 +38,15 @@ from repro.errors import SchedulingError
 from repro.graph.algorithms import topological_order
 from repro.graph.ddg import DependenceGraph
 from repro.machine.model import Machine
-from repro.sim.engine import encode_program
-from repro.sim.fastpath import evaluate
+from repro.sim.fastpath import evaluate, pred_offsets
 
-__all__ = ["ScheduledLoop", "CombinedLoop", "schedule_loop", "LoopScheduleLike"]
+__all__ = [
+    "CombinedLoop",
+    "InstanceProgram",
+    "LoopScheduleLike",
+    "ScheduledLoop",
+    "schedule_loop",
+]
 
 
 class LoopScheduleLike(Protocol):
@@ -64,8 +69,31 @@ class LoopScheduleLike(Protocol):
     def steady_cycles_per_iteration(self) -> float: ...
 
 
+class InstanceProgram:
+    """A schedule whose program is the rows :meth:`instances` emits:
+    its ``Op`` program and compile-time timing are read off them."""
+
+    graph: DependenceGraph
+    machine: Machine
+
+    def instances(
+        self, iterations: int, graph: DependenceGraph | None = None
+    ) -> list[list[int]]:
+        raise NotImplementedError
+
+    def program(self, iterations: int) -> list[list[Op]]:
+        """Per-processor op sequences: :meth:`instances`, decoded."""
+        names = self.graph.node_names()
+        return decode_rows(self.instances(iterations), names)
+
+    def compile_schedule(self, iterations: int) -> Schedule:
+        """Concrete start times under compile-time communication costs."""
+        rows = self.instances(iterations)
+        return evaluate(self.graph, rows, self.machine.comm)
+
+
 @dataclass(frozen=True)
-class ScheduledLoop:
+class ScheduledLoop(InstanceProgram):
     """Scheduling result for one connected loop graph.
 
     ``pattern`` is ``None`` exactly when the loop is DOALL (empty
@@ -110,30 +138,20 @@ class ScheduledLoop:
         return self.graph.total_latency() / self.machine.processors
 
     # ------------------------------------------------------------------
-    def program(self, iterations: int) -> list[list[Op]]:
-        """Per-processor op sequences for ``iterations`` iterations.
-
-        Processors are numbered compactly: Cyclic processors first (in
-        pattern order), then Flow-in, then Flow-out processors; with
-        folding, non-Cyclic ops share the chosen Cyclic processor.
-        The ops are decoded from :meth:`instances`, except in a folded
-        schedule, whose merge orders ops.
-        """
-        if self._folds(iterations):
-            return self._folded_program(iterations)
-        return decode_rows(self.instances(iterations), self.graph.node_names())
-
     def instances(
         self, iterations: int, graph: DependenceGraph | None = None
     ) -> list[list[int]]:
-        """:meth:`program` as rows of instance indices ``it * n + v``.
+        """Per-processor rows of instance indices ``it * n + v``.
 
         ``v`` is a node's index in ``graph`` (default: this loop's
         graph) and ``n`` its node count, so the rows lower against it.
+        Processors are numbered compactly: Cyclic processors first (in
+        pattern order), then Flow-in, then Flow-out processors; with
+        folding, non-Cyclic ops share the chosen Cyclic processor.
         """
         graph = self.graph if graph is None else graph
-        if self._folds(iterations):
-            return encode_program(graph, self._folded_program(iterations))
+        if iterations < 0:
+            raise SchedulingError("iterations must be >= 0")
         if iterations == 0:
             return [[] for _ in range(max(1, self.total_processors))]
         n, index = len(graph), graph.node_index
@@ -142,6 +160,13 @@ class ScheduledLoop:
             procs = self.machine.processors
             return interleave(list(map(index, body)), n, iterations, procs)
         assert self.plan is not None
+        if self.plan.fold_into is not None:
+            rows = self._folded_instances(iterations)
+            if graph is self.graph:
+                return rows
+            own = list(map(index, self.graph.node_names()))
+            m = len(self.graph)
+            return [[x // m * n + own[x % m] for x in row] for row in rows]
         pattern = self.pattern
         rows = pattern.rows(iterations, list(map(index, pattern.names)), n)[0]
         rows = [rows[j] for j in self.cyclic_processors]
@@ -155,22 +180,8 @@ class ScheduledLoop:
                 rows += interleave(list(body), n, iterations, procs)
         return rows
 
-    def compile_schedule(self, iterations: int) -> Schedule:
-        """Concrete start times under compile-time communication costs."""
-        return evaluate(
-            self.graph, self.instances(iterations), self.machine.comm
-        )
-
     # ------------------------------------------------------------------
-    def _folds(self, iterations: int) -> bool:
-        """Whether :meth:`program` merges non-Cyclic ops into a Cyclic
-        processor (raising for a negative trip count)."""
-        if iterations < 0:
-            raise SchedulingError("iterations must be >= 0")
-        plan = self.plan
-        return iterations > 0 and plan is not None and plan.fold_into is not None
-
-    def _folded_program(self, iterations: int) -> list[list[Op]]:
+    def _folded_instances(self, iterations: int) -> list[list[int]]:
         """Merge non-Cyclic ops into the chosen Cyclic processor.
 
         A global priority-Kahn pass over the instance DAG plus the
@@ -181,115 +192,95 @@ class ScheduledLoop:
 
         The Cyclic processors' rows (compact numbering) keep their
         pattern order, and their nominal pattern starts are the
-        priorities; row ``fold_proc`` takes the non-Cyclic ops.
+        priorities; row ``fold_proc`` takes the non-Cyclic ops.  All
+        ``iterations * n`` instances ``x = it * n + v`` of this loop's
+        graph take part, and ties in priority go to the smaller ``x``:
+        the earlier iteration, then the earlier node.
         """
-        c = self.classification
-        graph = self.graph
+        c, graph = self.classification, self.graph
         assert self.pattern is not None and self.plan is not None
-        rows, starts, _ = self.pattern.rows(iterations)
+        n, index = len(graph), graph.node_index
+        total = iterations * n
+        pattern = self.pattern
+        rows, starts, _ = pattern.rows(
+            iterations, list(map(index, pattern.names)), n
+        )
         used = self.cyclic_processors
-        cyclic_rows = decode_rows([rows[j] for j in used], self.pattern.names)
-        cyclic_starts = [starts[j] for j in used]
+        cyclic_rows = [rows[j] for j in used]
         fold_proc = used.index(self.plan.fold_into)
 
-        noncyclic = [
-            Op(n, i)
-            for i in range(iterations)
-            for n in (*c.flow_in, *c.flow_out)
-        ]
         # priorities: cyclic ops keep their expanded nominal start;
         # flow-in ops aim just before their earliest consumer; flow-out
         # ops just after their latest producer.
-        rate = self.pattern.cycles_per_iteration() if self.pattern else 1.0
-        prio: dict[Op, float] = {}
-        proc_of_cyclic: dict[Op, int] = {}
-        for j, (row, row_starts) in enumerate(zip(cyclic_rows, cyclic_starts)):
-            prio.update(zip(row, map(float, row_starts)))
-            proc_of_cyclic.update(dict.fromkeys(row, j))
-        all_ops = set(prio) | set(noncyclic)
-        fi_set = set(c.flow_in)
-        fi_pos = {n: i for i, n in enumerate(subset_order(graph, c.flow_in))}
-        fo_pos = {n: i for i, n in enumerate(subset_order(graph, c.flow_out))}
-        # flow-in: reverse instance-topological sweep so every already-
-        # prioritized successor (cyclic or later flow-in) is available.
-        for op in sorted(
-            (o for o in noncyclic if o.node in fi_set),
-            key=lambda o: (-o.iteration, -fi_pos[o.node]),
-        ):
-            deadlines = [
-                prio[succ]
-                for succ, _e in graph.instance_successors(op)
-                if succ in prio
-            ]
-            prio[op] = (
-                min(deadlines) - 0.5 if deadlines else op.iteration * rate
-            )
+        rate = pattern.cycles_per_iteration()
+        prio = [0.0] * total
+        proc_of = [fold_proc] * total
+        for j, row in enumerate(cyclic_rows):
+            for x, start in zip(row, starts[used[j]]):
+                prio[x], proc_of[x] = float(start), j
+        preds = [[off for off, _e in e] for e in pred_offsets(graph)]
+        succs: list[list[int]] = [[] for _ in range(n)]
+        for v, offs in enumerate(preds):
+            for off in offs:
+                succs[(v + off) % n].append(-off)
+        # flow-in: reverse instance-topological sweep, so every cyclic
+        # or flow-in successor already has its priority (flow-out ones
+        # get theirs later and are left out)
+        flow_out = [index(v) for v in subset_order(graph, c.flow_out)]
+        late = [v in flow_out for v in range(n)]
+        flow_in = [index(v) for v in subset_order(graph, c.flow_in)]
+        for it in reversed(range(iterations)):
+            for v in reversed(flow_in):
+                x = it * n + v
+                deadlines = [
+                    prio[y]
+                    for y in (x + off for off in succs[v])
+                    if y < total and not late[y % n]
+                ]
+                prio[x] = (
+                    min(deadlines) - 0.5 if deadlines else it * rate
+                )
         # flow-out: forward sweep; every producer already has a priority.
-        for op in sorted(
-            (o for o in noncyclic if o.node not in fi_set),
-            key=lambda o: (o.iteration, fo_pos[o.node]),
-        ):
-            ready = [
-                prio[pred] + graph.latency(pred.node)
-                for pred, _e in graph.instance_predecessors(op)
-                if pred in prio
-            ]
-            prio[op] = (max(ready) + 0.5) if ready else op.iteration * rate
+        lat = [graph.latency(name) for name in graph.node_names()]
+        for it in range(iterations):
+            for v in flow_out:
+                x = it * n + v
+                ready = [
+                    prio[y] + lat[y % n]
+                    for y in (x + off for off in preds[v])
+                    if y >= 0
+                ]
+                prio[x] = (max(ready) + 0.5) if ready else it * rate
 
-        # chain constraints: each cyclic row is a fixed sequence.
-        chain_next: dict[Op, Op] = {}
-        chain_blocked: set[Op] = set()
+        # Kahn over the instance dependences plus each cyclic row's
+        # chain, which keeps that row a fixed sequence
+        remaining = [0] * total
+        dependents: list[list[int]] = [[] for _ in range(total)]
+        for x in range(total):
+            for y in (x + off for off in preds[x % n]):
+                if y >= 0:
+                    remaining[x] += 1
+                    dependents[y].append(x)
         for row in cyclic_rows:
             for a, b in zip(row, row[1:]):
-                chain_next[a] = b
-                chain_blocked.add(b)
-
-        remaining: dict[Op, int] = {}
-        dependents: dict[Op, list[Op]] = {}
-        for op in all_ops:
-            cnt = 0
-            for pred, _e in graph.instance_predecessors(op):
-                if pred in all_ops:
-                    cnt += 1
-                    dependents.setdefault(pred, []).append(op)
-            remaining[op] = cnt
-
-        def key(op: Op) -> tuple:
-            return (prio[op], op.iteration, graph.node_index(op.node))
-
-        heap: list[tuple[tuple, Op]] = [
-            (key(op), op)
-            for op in all_ops
-            if remaining[op] == 0 and op not in chain_blocked
-        ]
+                remaining[b] += 1
+                dependents[a].append(b)
+        heap = [(prio[x], x) for x in range(total) if not remaining[x]]
         heapq.heapify(heap)
-        released_chain: set[Op] = set()
-
-        rows: list[list[Op]] = [[] for _ in range(len(cyclic_rows))]
-
-        emitted = 0
+        out: list[list[int]] = [[] for _ in cyclic_rows]
         while heap:
-            _, op = heapq.heappop(heap)
-            j = proc_of_cyclic.get(op, fold_proc)
-            rows[j].append(op)
-            emitted += 1
-            nxt = chain_next.get(op)
-            if nxt is not None:
-                released_chain.add(nxt)
-                if remaining[nxt] == 0:
-                    heapq.heappush(heap, (key(nxt), nxt))
-            for dep in dependents.get(op, ()):
+            _, x = heapq.heappop(heap)
+            out[proc_of[x]].append(x)
+            for dep in dependents[x]:
                 remaining[dep] -= 1
-                if remaining[dep] == 0 and (
-                    dep not in chain_blocked or dep in released_chain
-                ):
-                    heapq.heappush(heap, (key(dep), dep))
-        if emitted != len(all_ops):
+                if not remaining[dep]:
+                    heapq.heappush(heap, (prio[dep], dep))
+        if sum(map(len, out)) != total:
             raise SchedulingError(
                 "internal error: folded merge left "
-                f"{len(all_ops) - emitted} ops unordered"
+                f"{total - sum(map(len, out))} ops unordered"
             )
-        return rows
+        return out
 
     def describe(self) -> str:
         """Multi-line human summary of the scheduling decisions."""
@@ -322,7 +313,7 @@ class ScheduledLoop:
 
 
 @dataclass(frozen=True)
-class CombinedLoop:
+class CombinedLoop(InstanceProgram):
     """Independent component schedules running side by side."""
 
     graph: DependenceGraph
@@ -337,27 +328,16 @@ class CombinedLoop:
         """Components run concurrently: the slowest one sets the rate."""
         return max(p.steady_cycles_per_iteration() for p in self.parts)
 
-    def program(self, iterations: int) -> list[list[Op]]:
-        rows: list[list[Op]] = []
-        for part in self.parts:
-            rows.extend(part.program(iterations))
-        return rows
-
     def instances(
         self, iterations: int, graph: DependenceGraph | None = None
     ) -> list[list[int]]:
-        """:meth:`program` as instance indices over ``graph``'s nodes
-        (default: the whole loop's graph)."""
+        """The parts' rows, side by side, as instance indices over
+        ``graph``'s nodes (default: the whole loop's graph)."""
         graph = self.graph if graph is None else graph
         rows: list[list[int]] = []
         for part in self.parts:
             rows.extend(part.instances(iterations, graph))
         return rows
-
-    def compile_schedule(self, iterations: int) -> Schedule:
-        return evaluate(
-            self.graph, self.instances(iterations), self.machine.comm
-        )
 
     def describe(self) -> str:
         chunks = [

@@ -23,7 +23,9 @@ checked against four independent notions of "correct":
     The closed-form fastpath (:func:`repro.sim.fastpath.evaluate`)
     and the event-driven reference simulator
     (:func:`repro.sim.engine.simulate`) agree start-by-start under
-    fluctuating run-time communication costs.
+    fluctuating run-time communication costs.  Both run one lowering
+    of the program (:func:`repro.sim.fastpath.lower`); the lowering
+    itself is checked against an ``Op``-keyed one in the test suite.
 ``recompile_identity``
     Recompiling the same case through a warm artifact cache yields a
     bit-identical schedule, and every pass is served from the cache.
@@ -243,7 +245,7 @@ def _oracle_dataflow(case: FuzzCase, scheduled) -> None:
 # ----------------------------------------------------------------------
 def _oracle_engine_agreement(case: FuzzCase, scheduled) -> None:
     from repro.sim.engine import simulate
-    from repro.sim.fastpath import evaluate
+    from repro.sim.fastpath import evaluate, lower
 
     # Fluctuating run-time costs stress the agreement far harder than
     # the uniform compile-time model the case was scheduled under.
@@ -253,7 +255,7 @@ def _oracle_engine_agreement(case: FuzzCase, scheduled) -> None:
         mode="uniform",
         seed=case.seed & 0xFFFF,
     )
-    program = scheduled.program(ENGINE_ITERATIONS)
+    program = lower(case.graph, scheduled.instances(ENGINE_ITERATIONS))
     fast = evaluate(case.graph, program, comm, use_runtime=True)
     slow = simulate(case.graph, program, comm, use_runtime=True)
     if fast.makespan() != slow.schedule.makespan():

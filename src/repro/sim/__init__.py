@@ -8,7 +8,11 @@ Two interchangeable implementations of the machine semantics:
 * :func:`repro.sim.engine.simulate` — event-driven engine with message
   objects and a full :class:`~repro.sim.engine.ExecutionTrace`.
 
-Property tests assert they agree cycle-for-cycle.
+Both run a program as :func:`repro.sim.fastpath.lower` validates and
+flattens it — rows of instance indices with integer predecessor lists —
+so a caller that runs one program on both lowers it once.  Property
+tests assert they agree cycle-for-cycle, and test the lowering itself
+against an ``Op``-keyed one.
 """
 
 from repro.sim.engine import (

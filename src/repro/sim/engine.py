@@ -21,6 +21,12 @@ operationally rather than by solving the recurrence):
 
 The engine also records a full :class:`ExecutionTrace` (op timings and
 every message) for reporting and debugging.
+
+It runs the program as :func:`repro.sim.fastpath.lower` validates and
+flattens it, the same lowering the closed-form solve reads: ops are
+row-major positions, their predecessors the lowered ``(position,
+slot)`` lists, and an ``Op`` is decoded only for a :class:`Message`,
+a fault-fabric call or an error message.
 """
 
 from __future__ import annotations
@@ -37,17 +43,15 @@ from repro.errors import (
     SimulationError,
     StallError,
 )
-from repro.graph.ddg import DependenceGraph, Edge
+from repro.graph.ddg import DependenceGraph
 from repro.machine.comm import CommModel
 
 __all__ = [
     "ExecutionTrace",
     "Message",
     "Segment",
-    "encode_program",
     "execution_segments",
     "simulate",
-    "validate_program",
 ]
 
 
@@ -160,36 +164,6 @@ def execution_segments(trace: ExecutionTrace) -> list[Segment]:
     return segments
 
 
-def encode_program(
-    graph: DependenceGraph, order: Sequence[Sequence[Op]]
-) -> list[list[int]]:
-    """``order``'s ops as instance indices ``it * n + v``: ``v`` the
-    node's index in ``graph`` (:class:`~repro.errors.GraphError` if it
-    has none) and ``n`` its node count."""
-    index, n = graph.node_index, len(graph)
-    return [[it * n + index(node) for node, it in row] for row in order]
-
-
-def validate_program(
-    graph: DependenceGraph, order: Sequence[Sequence[Op]]
-) -> dict[Op, int]:
-    """Check a per-processor program at the sim boundary.
-
-    Returns the op -> processor assignment.  Malformed programs raise a
-    structured :class:`~repro.errors.ScheduleValidationError` naming
-    the offending op/processor — duplicated instance, negative
-    iteration, empty processor set — instead of surfacing as a
-    ``KeyError`` deep inside the event loop.  Unknown graph nodes keep
-    raising :class:`~repro.errors.GraphError` via ``graph.node``.  The
-    checks are the ones :func:`repro.sim.fastpath.lower` makes, on the
-    encoded program.
-    """
-    from repro.sim.fastpath import instance_positions
-
-    instance_positions(encode_program(graph, order), graph.node_names())
-    return {op: j for j, ops in enumerate(order) for op in ops}
-
-
 def simulate(
     graph: DependenceGraph,
     order: Sequence[Sequence[Op]],
@@ -203,11 +177,13 @@ def simulate(
 ) -> ExecutionTrace:
     """Run the program on the simulated multiprocessor.
 
-    ``order[j]`` is processor ``j``'s op sequence.  Predecessor
-    instances absent from the program are treated as loop live-ins,
-    available at time 0.  Raises
-    :class:`~repro.errors.DeadlockError` when no processor can make
-    progress with ops outstanding.
+    ``order[j]`` is processor ``j``'s op sequence; ``order`` may also
+    be ``lower(graph, program)``
+    (:func:`repro.sim.fastpath.lower`), which validates and flattens
+    a program once for every run of it.  Predecessor instances absent
+    from the program are treated as loop live-ins, available at time
+    0.  Raises :class:`~repro.errors.DeadlockError` when no processor
+    can make progress with ops outstanding.
 
     ``link_capacity`` extends the paper's model: ``None`` (default) is
     the paper's fully-overlapped communication — any number of messages
@@ -243,39 +219,58 @@ def simulate(
     ``watchdog`` is a cycle horizon: if the event clock passes it the
     run is declared silently stalled instead of spinning on.
     """
-    proc_of = validate_program(graph, order)
-    processors = len(order)
+    # fastpath imports this module for ExecutionTrace and Message
+    from repro.sim.fastpath import LoweredProgram, lower, pred_offsets
+
+    lowered = order
+    if not isinstance(lowered, LoweredProgram):
+        lowered = lower(graph, order)
     if link_capacity is not None and link_capacity < 1:
         raise SimulationError("link_capacity must be >= 1 (or None)")
+    names, edges, lats = lowered.names, lowered.edges, lowered.latencies
+    bounds, processors = lowered.bounds, len(lowered.instances)
+    flat = [x for row in lowered.instances for x in row]
+    proc_of = lowered.procs()
+    total, n = len(flat), len(names)
 
-    # per-op requirements: local predecessor instances / expected messages
-    local_preds: dict[Op, list[Op]] = {}
-    expected_msgs: dict[Op, int] = {}
-    consumers: dict[Op, list[tuple[Op, Edge]]] = {}
-    for op, j in proc_of.items():
-        locals_, msgs = [], 0
-        for pred, edge in graph.instance_predecessors(op):
-            if pred not in proc_of:
-                continue
-            if proc_of[pred] == j:
-                locals_.append(pred)
+    def op_at(k: int) -> Op:
+        return Op(names[flat[k] % n], flat[k] // n)
+
+    # Ops are positions in the lowered program.  An op waits for the
+    # messages of its predecessors on other processors, and never
+    # starts while a predecessor queued behind it on its own processor
+    # (slot 0) is pending.  Of its predecessors earlier on its own
+    # processor only the one just before it can still be unfinished
+    # when the processor frees up: the lowering leaves them out, so
+    # that one is looked up by its offset.
+    expected_msgs = [0] * total
+    blocked = [False] * total
+    consumers: list[list[tuple[int, int]]] = [[] for _ in range(total)]
+    for k, entry in enumerate(lowered.preds):
+        for pi, slot in entry:
+            if slot:
+                expected_msgs[k] += 1
+                consumers[pi].append((k, slot))
             else:
-                msgs += 1
-                consumers.setdefault(pred, []).append((op, edge))
-        local_preds[op] = locals_
-        expected_msgs[op] = msgs
+                blocked[k] = True
+    node_offsets = [[off for off, _e in e] for e in pred_offsets(graph)]
+    offset_sets = list(map(set, node_offsets))
+    after_pred = [False] * total
+    for lo, hi in zip(bounds, bounds[1:]):
+        for k in range(lo + 1, hi):
+            after_pred[k] = flat[k - 1] - flat[k] in offset_sets[flat[k] % n]
 
-    sched = Schedule(processors)
-    trace = ExecutionTrace(sched)
-    ptr = [0] * processors
+    messages: list[Message] = []
+    starts = [0] * total
+    ptr, stops = bounds[:-1], bounds[1:]
     busy_until = [0] * processors
-    finished: set[Op] = set()
-    msgs_arrived: dict[Op, int] = {op: 0 for op in proc_of}
+    finished = [False] * total
+    msgs_arrived = [0] * total
 
     # chaos bookkeeping (untouched when fabric is None)
     crash: dict[int, int] = {}
     halted: dict[int, int] = {}  # proc -> crash cycle it halted at
-    delivered: set[tuple[Op, Op]] = set()  # idempotent receive
+    delivered: set[tuple[int, int]] = set()  # idempotent receive
     lost: list[tuple[Op, Op]] = []  # permanently lost messages
     wakes_posted: set[tuple[int, int]] = set()
     if fabric is not None:
@@ -299,18 +294,18 @@ def simulate(
         heapq.heappush(events, (time, seq, kind, payload))
         seq += 1
 
-    def can_start(op: Op) -> bool:
-        return msgs_arrived[op] == expected_msgs[op] and all(
-            p in finished for p in local_preds[op]
+    def can_start(k: int) -> bool:
+        return (
+            msgs_arrived[k] == expected_msgs[k]
+            and not blocked[k]
+            and (not after_pred[k] or finished[k - 1])
         )
 
     def try_start(j: int, now: int) -> None:
-        if busy_until[j] > now or ptr[j] >= len(order[j]):
+        k = ptr[j]
+        if busy_until[j] > now or k >= stops[j] or not can_start(k):
             return
-        op = order[j][ptr[j]]
-        if not can_start(op):
-            return
-        lat = graph.latency(op.node)
+        lat = lats[k]
         if fabric is not None:
             if j in halted:
                 return
@@ -319,7 +314,7 @@ def simulate(
                 # fail-stop: the op would finish after the crash cycle,
                 # so it (and everything behind it) is lost.
                 halted[j] = c
-                fabric.note_fail_stop(j, c, op)
+                fabric.note_fail_stop(j, c, op_at(k))
                 return
             wake = fabric.stall_until(j, now)
             if wake is not None:
@@ -327,10 +322,10 @@ def simulate(
                     wakes_posted.add((j, wake))
                     post(wake, "wake", j)
                 return
-        sched.add(op, j, now, lat)
+        starts[k] = now
         busy_until[j] = now + lat
-        ptr[j] += 1
-        post(now + lat, "finish", op)
+        ptr[j] = k + 1
+        post(now + lat, "finish", k)
 
     for j in range(processors):
         try_start(j, 0)
@@ -343,23 +338,23 @@ def simulate(
             tripped = True
             break
         if kind == "finish":
-            op = payload  # type: ignore[assignment]
-            finished.add(op)
+            k = payload  # type: ignore[assignment]
+            finished[k] = True
             executed += 1
-            j = proc_of[op]
-            for dst, edge in consumers.get(op, ()):
+            j = proc_of[k]
+            for dst, slot in consumers[k]:
+                edge, dj = edges[slot - 1], proc_of[dst]
                 cost = (
-                    comm.runtime_cost(edge, op)
+                    comm.runtime_cost(edge, op_at(k))
                     if use_runtime
                     else comm.compile_cost(edge)
                 )
                 sent = time
                 if link_capacity is not None:
-                    # the directed link (j -> dst_proc) injects at most
+                    # the directed link (j -> dj) injects at most
                     # `link_capacity` messages per cycle: later ones
                     # wait for an injection slot.
-                    link = (j, proc_of[dst])
-                    slots = link_slots.setdefault(link, [0, 0])
+                    slots = link_slots.setdefault((j, dj), [0, 0])
                     if slots[0] < time:
                         slots[0], slots[1] = time, 0
                     if slots[1] >= link_capacity:
@@ -369,26 +364,26 @@ def simulate(
                     slots[1] += 1
                 arrive = sent + cost
                 if channel_fifo:
-                    link = (j, proc_of[dst])
-                    arrive = max(arrive, channel_last.get(link, 0))
-                    channel_last[link] = arrive
+                    arrive = max(arrive, channel_last.get((j, dj), 0))
+                    channel_last[(j, dj)] = arrive
                 if fabric is None:
-                    trace.messages.append(
-                        Message(op, dst, j, proc_of[dst], sent, arrive)
+                    messages.append(
+                        Message(op_at(k), op_at(dst), j, dj, sent, arrive)
                     )
                     post(arrive, "msg", dst)
                 else:
+                    src_op, dst_op = op_at(k), op_at(dst)
                     mp = fabric.plan_message(
-                        edge, op, dst, j, proc_of[dst], sent, arrive
+                        edge, src_op, dst_op, j, dj, sent, arrive
                     )
                     if mp.accepted is None:
-                        lost.append((op, dst))
+                        lost.append((src_op, dst_op))
                         continue
-                    trace.messages.append(
-                        Message(op, dst, j, proc_of[dst], sent, mp.accepted)
+                    messages.append(
+                        Message(src_op, dst_op, j, dj, sent, mp.accepted)
                     )
                     for at in mp.deliveries:
-                        post(at, "msg", (op, dst))
+                        post(at, "msg", (k, dst))
             try_start(j, time)  # processor freed: start its next op
             # a local successor at another point of j's order starts
             # when the pointer reaches it; a local successor at the
@@ -402,7 +397,9 @@ def simulate(
                 src, dst = payload  # type: ignore[misc]
                 if (src, dst) in delivered:
                     # duplicate delivery — idempotent receive drops it
-                    fabric.note_dup_dropped(src, dst, time, proc_of[dst])
+                    fabric.note_dup_dropped(
+                        op_at(src), op_at(dst), time, proc_of[dst]
+                    )
                 else:
                     delivered.add((src, dst))
                     msgs_arrived[dst] += 1
@@ -410,18 +407,33 @@ def simulate(
         else:  # wake: a stall window ended
             try_start(payload, time)  # type: ignore[arg-type]
 
+    # a run that stops early keeps the started prefix of every row
+    sched = Schedule.from_rows(
+        [flat[lo:k] for lo, k in zip(bounds, ptr)],
+        [starts[lo:k] for lo, k in zip(bounds, ptr)],
+        [lats[lo:k] for lo, k in zip(bounds, ptr)],
+        names=names,
+    )
+    trace = ExecutionTrace(sched, messages)
     if fabric is not None:
         trace.faults = list(fabric.events)
 
-    if tripped or executed != len(proc_of):
+    if tripped or executed != total:
+        position = {x: k for k, x in enumerate(flat)}
         details = []
         stuck_count = 0
         for j in range(processors):
-            if ptr[j] >= len(order[j]):
+            k = ptr[j]
+            if k >= stops[j]:
                 continue
             stuck_count += 1
-            op = order[j][ptr[j]]
-            missing = [p for p in local_preds[op] if p not in finished]
+            x = flat[k]
+            # unfinished predecessors on the head's own processor
+            missing = []
+            for off in node_offsets[x % n]:
+                pk = position.get(x + off, -1)
+                if pk >= 0 and proc_of[pk] == j and not finished[pk]:
+                    missing.append(op_at(pk))
             why = []
             if j in halted:
                 why.append(f"processor fail-stopped at cycle {halted[j]}")
@@ -430,14 +442,14 @@ def simulate(
                     "waiting on local predecessor(s) "
                     + ", ".join(str(p) for p in missing)
                 )
-            if msgs_arrived[op] < expected_msgs[op]:
+            if msgs_arrived[k] < expected_msgs[k]:
                 why.append(
-                    f"{msgs_arrived[op]}/{expected_msgs[op]} "
+                    f"{msgs_arrived[k]}/{expected_msgs[k]} "
                     "expected message(s) arrived"
                 )
             details.append(
-                f"P{j} head {op}: " + ("; ".join(why) or "ready but never "
-                "started (engine bug)")
+                f"P{j} head {op_at(k)}: " + ("; ".join(why) or "ready but "
+                "never started (engine bug)")
             )
         shown = "\n  ".join(details[:5])
         more = (
@@ -445,13 +457,13 @@ def simulate(
             if stuck_count > 5
             else ""
         )
-        unexecuted = len(proc_of) - executed
+        unexecuted = total - executed
         if halted:
             err: SimulationError = ProcessorFailureError(
                 f"processor failure left {unexecuted} ops unexecuted "
                 f"(crashed: {sorted(halted)}):\n  {shown}{more}",
                 failed=halted,
-                executed=finished,
+                executed=[op_at(k) for k in range(total) if finished[k]],
             )
         elif lost or tripped:
             cause = (

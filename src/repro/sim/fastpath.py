@@ -12,8 +12,9 @@ in-order execution), execution times satisfy a simple recurrence::
 
 1. *Lowering* (:func:`lower`).  The program — rows of instance
    indices ``it * n + v`` as the schedules' ``instances`` emit them,
-   or rows of ops, which are encoded first — is validated once
-   with a position array (instance -> row-major position), numbered
+   or a caller's rows of ops, which only ``lower`` encodes — is
+   validated once with a position array (instance -> row-major
+   position), numbered
    row-major, processor by processor, and flattened into integer
    lists: each op's latency, and each op's in-program predecessors as
    ``(position, edge slot)`` pairs.  Slot 0 means the same processor
@@ -42,8 +43,14 @@ solved rows of instance indices
 returns the maximum the solve found, and ``Op`` and :class:`Placement`
 objects are only built when a caller first asks for one (the
 engine-agreement oracle, Gantt charts, trace export).  So are the
-lowered program's ``rows`` and ``proc_of``, which a deadlock report,
-:func:`evaluate_trace` and per-message pricing read.
+lowered program's ``rows``, which a deadlock report,
+:func:`evaluate_trace`'s messages and per-message pricing read.
+
+The lowered program is the one program form below the report: the
+event engine (:func:`repro.sim.engine.simulate`), the partitioner
+and the message-passing interpreter (:mod:`repro.codegen`) read its
+predecessor lists too, and :func:`pred_offsets` gives them the
+per-node offsets they are built from.
 
 With ``use_runtime=True`` the per-message *run-time* communication
 cost is charged (possibly fluctuating) instead of the compile-time
@@ -60,17 +67,23 @@ can never deadlock, so this doubles as a codegen sanity check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
-from typing import Iterator, Sequence
+from itertools import accumulate, chain, count
+from typing import Callable, Iterator, Sequence
 
 from repro._types import Op, decode_rows
 from repro.core.schedule import Schedule
 from repro.errors import DeadlockError, ScheduleValidationError
 from repro.graph.ddg import DependenceGraph, Edge
 from repro.machine.comm import CommModel
-from repro.sim.engine import ExecutionTrace, Message, encode_program
+from repro.sim.engine import ExecutionTrace, Message
 
-__all__ = ["LoweredProgram", "evaluate", "evaluate_trace", "lower"]
+__all__ = [
+    "LoweredProgram",
+    "evaluate",
+    "evaluate_trace",
+    "lower",
+    "pred_offsets",
+]
 
 
 @dataclass(eq=False, slots=True)
@@ -86,7 +99,7 @@ class LoweredProgram:
     message over ``edges[s - 1]``.  A predecessor earlier in the same
     row is left out: program order already waits for it.  One later in
     the same row stays, at slot 0, so the solve sees the deadlock.
-    ``rows`` and ``proc_of`` decode the ops on demand.
+    ``rows`` decodes the ops on demand.
 
     Iterating a lowered program yields its rows of instance indices,
     so it is still a program.  It is shared (between cells, through
@@ -110,9 +123,9 @@ class LoweredProgram:
     def rows(self) -> list[list[Op]]:
         return decode_rows(self.instances, self.names)
 
-    @property
-    def proc_of(self) -> dict[Op, int]:
-        return {op: j for j, row in enumerate(self.rows) for op in row}
+    def procs(self) -> list[int]:
+        """Each position's processor."""
+        return [j for j, row in enumerate(self.instances) for _ in row]
 
 
 def instance_positions(
@@ -155,42 +168,59 @@ def instance_positions(
     raise AssertionError("unreachable: the program had a fault")
 
 
+def pred_offsets(graph: DependenceGraph) -> list[list[tuple[int, Edge]]]:
+    """Each node's incoming edges as instance-index offsets.
+
+    Entry ``v`` lists ``(offset, edge)`` for the edges into node ``v``
+    (the graph's ``v``-th node), in the graph's predecessor order:
+    instance ``x`` of ``v`` depends over ``edge`` on instance ``x +
+    offset``, which is a live-in when negative.  For an edge ``u -> v``
+    at distance ``d`` the offset is ``u - v - d * n``.
+    """
+    index, n = graph.node_index, len(graph)
+    return [
+        [
+            (index(e.src) - v - e.distance * n, e)
+            for e in graph.predecessors(name)
+        ]
+        for v, name in enumerate(graph.node_names())
+    ]
+
+
 def lower(
     graph: DependenceGraph,
     program: Sequence[Sequence[Op]] | Sequence[Sequence[int]],
 ) -> LoweredProgram:
     """Validate ``program`` and flatten it; see :class:`LoweredProgram`.
 
-    ``program`` lists each processor's ops, or their instance indices
-    as the schedules' ``instances`` methods emit them; ops are encoded
-    first (:func:`~repro.sim.engine.encode_program`).
+    ``program`` lists each processor's instance indices, as the
+    schedules' ``instances`` methods emit them, or each processor's
+    ops, which are encoded here (an unknown node raises
+    :class:`~repro.errors.GraphError`).
     """
+    names = tuple(graph.node_names())
+    n = len(names)
     first = next((row[0] for row in program if row), 0)
     if isinstance(first, int):
         rows = tuple(list(row) for row in program)
     else:
-        rows = tuple(encode_program(graph, program))
-    names = tuple(graph.node_names())
-    n = len(names)
+        index = graph.node_index
+        rows = tuple(
+            [it * n + index(node) for node, it in row] for row in program
+        )
     position = instance_positions(rows, names)
     bounds = list(accumulate(map(len, rows), initial=0))
-    # every edge gets a slot, listed with its destination's
-    # predecessors; instance x's predecessor over edge u -> v at
-    # distance d is x + u - v - d * n
-    index = {name: v for v, name in enumerate(names)}
-    edges: list[Edge] = []
-    node_preds = []
-    for v, name in enumerate(names):
-        entry = []
-        for e in graph.predecessors(name):
-            edges.append(e)
-            entry.append((index[e.src] - v - e.distance * n, len(edges)))
-        node_preds.append(entry)
+    # every edge gets a slot, listed with its destination's predecessors
+    offsets = pred_offsets(graph)
+    edges = tuple(e for entry in offsets for _off, e in entry)
     # padded so that every predecessor index is in range: one before
     # iteration 0 (a live-in) or past the program reads -1
     pad = n * (1 + max((e.distance for e in edges), default=0))
     position = [-1] * pad + position + [-1] * n
-    node_preds = [[(off + pad, slot) for off, slot in e] for e in node_preds]
+    slots = count(1)
+    node_preds = [
+        [(off + pad, next(slots)) for off, _e in entry] for entry in offsets
+    ]
     latency = [graph.latency(name) for name in names]
     lats = [latency[x % n] for x in chain.from_iterable(rows)]
     # tuples of ints, which the cyclic collector stops tracking, so the
@@ -210,7 +240,7 @@ def lower(
                     continue
                 entry.append((pi, slot))
             preds.append(tuple(entry))
-    return LoweredProgram(rows, names, bounds, lats, tuple(edges), preds)
+    return LoweredProgram(rows, names, bounds, lats, edges, preds)
 
 
 def _price(
@@ -244,51 +274,19 @@ def _price(
     return preds, costs
 
 
-def _reconstruct_messages(
+def _solve(
     graph: DependenceGraph,
-    sched: Schedule,
-    proc_of: dict[Op, int],
+    order: Sequence[Sequence[Op]] | LoweredProgram,
     comm: CommModel,
     use_runtime: bool,
-) -> list[Message]:
-    """The messages the closed-form run implies (src finished -> sent).
+) -> tuple[Schedule, Callable[[], list[Message]]]:
+    """The schedule, and a thunk for the messages it implies.
 
-    Mirrors the engine exactly under the default (fully overlapped)
-    channel model: a message departs when its source op finishes and
-    arrives ``cost`` cycles later, whether or not the destination ever
-    started — so even a *partial* (deadlocked) schedule yields the same
-    message list the event engine would have recorded.
-    """
-    messages: list[Message] = []
-    for op, j in proc_of.items():
-        for pred, edge in graph.instance_predecessors(op):
-            pj = proc_of.get(pred)
-            if pj is None or pj == j or pred not in sched:
-                continue
-            sent = sched.finish(pred)
-            cost = (
-                comm.runtime_cost(edge, pred)
-                if use_runtime
-                else comm.compile_cost(edge)
-            )
-            messages.append(Message(pred, op, pj, j, sent, sent + cost))
-    return messages
-
-
-def evaluate(
-    graph: DependenceGraph,
-    order: Sequence[Sequence[Op]],
-    comm: CommModel,
-    *,
-    use_runtime: bool = False,
-) -> Schedule:
-    """Compute start/finish times for a per-processor op ordering.
-
-    ``order[j]`` is the exact execution order of processor ``j``;
-    ``order`` may also be ``lower(graph, program)``, which skips
-    validation and lowering.  Dependences whose source instance is
-    absent from the program (live-in values, or nodes outside the
-    scheduled subset) are satisfied at time 0.
+    A message departs when its source op finishes and arrives ``cost``
+    cycles later, whether or not the destination ever started, which
+    is what the event engine records under its default (fully
+    overlapped) channels — so a *partial* (deadlocked) schedule yields
+    the same messages too.
     """
     lowered = order
     if not isinstance(lowered, LoweredProgram):
@@ -342,6 +340,20 @@ def evaluate(
         names=lowered.names,
         makespan=max(proc_end),
     )
+
+    def messages() -> list[Message]:
+        ops = list(chain.from_iterable(lowered.rows))
+        proc = lowered.procs()
+        return [
+            Message(
+                ops[pi], ops[k], proc[pi], proc[k], ends[pi],
+                ends[pi] + costs[slot],
+            )
+            for k, entry in enumerate(preds)
+            for pi, slot in entry
+            if slot and ends[pi]
+        ]
+
     placed = sum(executed)
     if placed != n:
         rows = zip(lowered.rows, executed)
@@ -350,14 +362,27 @@ def evaluate(
             f"program deadlocked with {n - placed} ops "
             f"unexecuted; stuck heads: {stuck[:5]}"
         )
-        err.trace = ExecutionTrace(
-            sched,
-            _reconstruct_messages(
-                graph, sched, lowered.proc_of, comm, use_runtime
-            ),
-        )
+        err.trace = ExecutionTrace(sched, messages())
         raise err
-    return sched
+    return sched, messages
+
+
+def evaluate(
+    graph: DependenceGraph,
+    order: Sequence[Sequence[Op]],
+    comm: CommModel,
+    *,
+    use_runtime: bool = False,
+) -> Schedule:
+    """Compute start/finish times for a per-processor op ordering.
+
+    ``order[j]`` is the exact execution order of processor ``j``;
+    ``order`` may also be ``lower(graph, program)``, which skips
+    validation and lowering.  Dependences whose source instance is
+    absent from the program (live-in values, or nodes outside the
+    scheduled subset) are satisfied at time 0.
+    """
+    return _solve(graph, order, comm, use_runtime)[0]
 
 
 def evaluate_trace(
@@ -370,18 +395,11 @@ def evaluate_trace(
     """:func:`evaluate`, packaged as a full :class:`ExecutionTrace`.
 
     The schedule comes from the closed-form recurrence; the messages
-    are reconstructed from it (deterministic given the comm model), so
-    the result supports the same segment/Gantt/export tooling as the
-    event-driven engine — and the differential tests can compare the
-    two implementations through one lens.
+    are read off the lowered program's cross-processor predecessors
+    (deterministic given the comm model), so the result supports the
+    same segment/Gantt/export tooling as the event-driven engine — and
+    the differential tests can compare the two implementations through
+    one lens.
     """
-    lowered = order
-    if not isinstance(lowered, LoweredProgram):
-        lowered = lower(graph, order)
-    sched = evaluate(graph, lowered, comm, use_runtime=use_runtime)
-    return ExecutionTrace(
-        sched,
-        _reconstruct_messages(
-            graph, sched, lowered.proc_of, comm, use_runtime
-        ),
-    )
+    sched, messages = _solve(graph, order, comm, use_runtime)
+    return ExecutionTrace(sched, messages())

@@ -41,8 +41,8 @@ from repro.errors import (
     StallError,
 )
 from repro.report import format_chaos_table
-from repro.sim.engine import simulate, validate_program
-from repro.sim.fastpath import evaluate
+from repro.sim.engine import simulate
+from repro.sim.fastpath import evaluate, lower
 from repro.workloads import fig7, livermore18
 
 
@@ -241,9 +241,9 @@ class TestValidateProgram:
         dup = prog[0][0]
         prog[-1].append(dup)
         with pytest.raises(ScheduleValidationError, match="twice"):
-            validate_program(w.graph, prog)
+            lower(w.graph, prog)
         with pytest.raises(SimulationError, match=str(dup.node)):
-            validate_program(w.graph, prog)
+            lower(w.graph, prog)
 
     def test_negative_iteration_named(self, scheduled):
         w, s = scheduled
@@ -253,19 +253,19 @@ class TestValidateProgram:
         with pytest.raises(
             ScheduleValidationError, match="negative iteration"
         ):
-            validate_program(w.graph, prog)
+            lower(w.graph, prog)
 
     def test_empty_program_rejected(self, scheduled):
         w, _ = scheduled
         with pytest.raises(ScheduleValidationError, match="processor"):
-            validate_program(w.graph, [])
+            lower(w.graph, [])
 
     def test_unknown_node_is_graph_error(self, scheduled):
         w, s = scheduled
         prog = [list(r) for r in s.program(4)]
         prog[0][0] = prog[0][0]._replace(node="ghost")
         with pytest.raises(GraphError):
-            validate_program(w.graph, prog)
+            lower(w.graph, prog)
 
     def test_engine_and_fastpath_validate_identically(self, scheduled):
         w, s = scheduled

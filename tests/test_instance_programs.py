@@ -18,7 +18,10 @@ with a position array.  These tests pin that path:
 
 from __future__ import annotations
 
+import heapq
+import math
 import pickle
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,11 +32,13 @@ from hypothesis import strategies as st
 
 import repro.core.schedule as schedule_mod
 import repro.sim.fastpath as fastpath_mod
-from repro._types import Op
+from repro._types import Op, decode_rows
 from repro.baselines.doacross import schedule_doacross
 from repro.core.classify import classify
 from repro.core.cyclic import schedule_cyclic
 from repro.core.cyclic_reference import schedule_cyclic_reference
+from repro.core.flowio import subset_order
+from repro.core.normalized import NormalizedSchedule, schedule_any_loop
 from repro.core.patterns import Pattern
 from repro.core.schedule import Placement
 from repro.errors import (
@@ -43,41 +48,38 @@ from repro.errors import (
     ScheduleValidationError,
     SchedulingError,
 )
+from repro.core.scheduler import CombinedLoop
 from repro.experiments import measure
 from repro.fuzz.corpus import load_corpus
+from repro.fuzz.generators import generate_case
+from repro.fuzz.oracles import compile_case
 from repro.graph.ddg import DependenceGraph
+from repro.machine.comm import UniformComm, ZeroComm
+from repro.machine.model import Machine
 from repro.pipeline import compile_graph
 from repro.pipeline.cache import CacheEntry
 from repro.runner.diskcache import DiskCache
-from repro.sim.engine import ExecutionTrace, encode_program, validate_program
+from repro.sim.engine import ExecutionTrace, simulate
 from repro.sim.fastpath import LoweredProgram, evaluate, evaluate_trace, lower
-from repro.workloads import fig7, random_cyclic_loop
-from tests.test_lowering import _comms, _placements, _ref_evaluate, _ref_messages
+from repro.workloads import fig7, livermore18, random_cyclic_loop
+from tests.test_lowering import (
+    _comms,
+    _placements,
+    _ref_evaluate,
+    _ref_messages,
+    _ref_validate_program,
+)
+from tests.test_normalized import distance_graph
 
 
 # ----------------------------------------------------------------------
 # the Op-keyed validation and lowering the integer path replaced
 # ----------------------------------------------------------------------
-def _ref_validate_program(graph, order):
-    if len(order) < 1:
-        raise ScheduleValidationError(
-            "need at least one processor (program has no processor rows)"
-        )
-    proc_of = {}
-    for j, ops in enumerate(order):
-        for op in ops:
-            if op in proc_of:
-                raise ScheduleValidationError(
-                    f"{op} appears twice in the program "
-                    f"(on P{proc_of[op]} and P{j})"
-                )
-            graph.node(op.node)
-            if op.iteration < 0:
-                raise ScheduleValidationError(
-                    f"negative iteration: {op} on P{j}"
-                )
-            proc_of[op] = j
-    return proc_of
+def _encode(graph, program):
+    """Rows of ops as rows of instance indices ``it * n + v``."""
+    index = {name: v for v, name in enumerate(graph)}
+    return [[it * len(index) + index[node] for node, it in row]
+            for row in program]
 
 
 def _ref_lower(graph, program):
@@ -159,11 +161,11 @@ def _ref_trace(graph, program, comm, use_runtime):
 
 
 def _check_against_oracle(graph, program):
-    rows, proc_of, *flat = _ref_lower(graph, program)
-    for source in (program, encode_program(graph, program)):
+    rows, _proc_of, *flat = _ref_lower(graph, program)
+    for source in (program, _encode(graph, program)):
         got = lower(graph, source)
         assert [got.bounds, got.latencies, got.edges, got.preds] == flat
-        assert got.rows == rows and got.proc_of == proc_of
+        assert got.rows == rows
     lowered = lower(graph, program)
     for comm in _comms(len(program)):
         for use_runtime in (False, True):
@@ -205,6 +207,287 @@ def test_oracle_cases_cover_every_lowering_branch():
 
 
 # ----------------------------------------------------------------------
+# the Op-keyed folding merge and normalized program that folded and
+# normalized schedules' instance rows replaced
+# ----------------------------------------------------------------------
+def _ref_folded_program(loop, iterations):
+    c = loop.classification
+    graph = loop.graph
+    rows, starts, _ = loop.pattern.rows(iterations)
+    used = loop.cyclic_processors
+    cyclic_rows = decode_rows([rows[j] for j in used], loop.pattern.names)
+    cyclic_starts = [starts[j] for j in used]
+    fold_proc = used.index(loop.plan.fold_into)
+    noncyclic = [
+        Op(n, i) for i in range(iterations) for n in (*c.flow_in, *c.flow_out)
+    ]
+    rate = loop.pattern.cycles_per_iteration()
+    prio = {}
+    proc_of_cyclic = {}
+    for j, (row, row_starts) in enumerate(zip(cyclic_rows, cyclic_starts)):
+        prio.update(zip(row, map(float, row_starts)))
+        proc_of_cyclic.update(dict.fromkeys(row, j))
+    all_ops = set(prio) | set(noncyclic)
+    fi_set = set(c.flow_in)
+    fi_pos = {n: i for i, n in enumerate(subset_order(graph, c.flow_in))}
+    fo_pos = {n: i for i, n in enumerate(subset_order(graph, c.flow_out))}
+    for op in sorted(
+        (o for o in noncyclic if o.node in fi_set),
+        key=lambda o: (-o.iteration, -fi_pos[o.node]),
+    ):
+        deadlines = [
+            prio[succ]
+            for succ, _e in graph.instance_successors(op)
+            if succ in prio
+        ]
+        prio[op] = min(deadlines) - 0.5 if deadlines else op.iteration * rate
+    for op in sorted(
+        (o for o in noncyclic if o.node not in fi_set),
+        key=lambda o: (o.iteration, fo_pos[o.node]),
+    ):
+        ready = [
+            prio[pred] + graph.latency(pred.node)
+            for pred, _e in graph.instance_predecessors(op)
+            if pred in prio
+        ]
+        prio[op] = (max(ready) + 0.5) if ready else op.iteration * rate
+    chain_next, chain_blocked = {}, set()
+    for row in cyclic_rows:
+        for a, b in zip(row, row[1:]):
+            chain_next[a] = b
+            chain_blocked.add(b)
+    remaining, dependents = {}, {}
+    for op in all_ops:
+        cnt = 0
+        for pred, _e in graph.instance_predecessors(op):
+            if pred in all_ops:
+                cnt += 1
+                dependents.setdefault(pred, []).append(op)
+        remaining[op] = cnt
+
+    def key(op):
+        return (prio[op], op.iteration, graph.node_index(op.node))
+
+    heap = [
+        (key(op), op)
+        for op in all_ops
+        if remaining[op] == 0 and op not in chain_blocked
+    ]
+    heapq.heapify(heap)
+    released_chain = set()
+    out = [[] for _ in range(len(cyclic_rows))]
+    while heap:
+        _, op = heapq.heappop(heap)
+        out[proc_of_cyclic.get(op, fold_proc)].append(op)
+        nxt = chain_next.get(op)
+        if nxt is not None:
+            released_chain.add(nxt)
+            if remaining[nxt] == 0:
+                heapq.heappush(heap, (key(nxt), nxt))
+        for dep in dependents.get(op, ()):
+            remaining[dep] -= 1
+            if remaining[dep] == 0 and (
+                dep not in chain_blocked or dep in released_chain
+            ):
+                heapq.heappush(heap, (key(dep), dep))
+    assert sum(map(len, out)) == len(all_ops)
+    return out
+
+
+def _ref_program(scheduled, iterations):
+    """``scheduled.program(iterations)`` as it was built from ops."""
+    if isinstance(scheduled, NormalizedSchedule):
+        inner = _ref_program(
+            scheduled.inner, math.ceil(iterations / scheduled.factor)
+        )
+        to_original = scheduled.unwound.to_original
+        mapped = ([to_original(op) for op in row] for row in inner)
+        return [[op for op in row if op.iteration < iterations]
+                for row in mapped]
+    if isinstance(scheduled, CombinedLoop):
+        return [row for part in scheduled.parts
+                for row in _ref_program(part, iterations)]
+    if iterations and scheduled.plan and scheduled.plan.fold_into is not None:
+        return _ref_folded_program(scheduled, iterations)
+    return scheduled.program(iterations)  # unchanged: decoded rows
+
+
+def _folds(scheduled):
+    inner = getattr(scheduled, "inner", scheduled)
+    return any(
+        part.plan is not None and part.plan.fold_into is not None
+        for part in getattr(inner, "parts", [inner])
+    )
+
+
+def _corpus_schedules():
+    corpus = load_corpus(Path(__file__).parent / "corpus")
+    for name in sorted(corpus):
+        case = corpus[name]
+        for folding in ("auto", "always"):
+            ctx = compile_graph(
+                case.graph, case.machine(), normalize=True, folding=folding,
+                cache=None,
+            )
+            yield f"{name}/{folding}", ctx.scheduled
+
+
+def _fuzz_shard_folding_schedules(monkeypatch):
+    """The folding schedules of the seed-0 fuzz shard's 256 cases.
+
+    The shard picks its cases adaptively from their behaviour
+    signatures, which a compile alone determines, so the oracles are
+    replaced by that compile.
+    """
+    import repro.fuzz.campaign as campaign
+    from repro.fuzz.generators import behavior_signature
+    from repro.fuzz.oracles import CaseOutcome, compile_case
+
+    folding = []
+
+    def compile_only(case):
+        scheduled = compile_case(case)
+        if _folds(scheduled):
+            folding.append((case.case_id, scheduled))
+        return CaseOutcome(signature=behavior_signature(case, scheduled))
+
+    monkeypatch.setattr(campaign, "run_oracles", compile_only)
+    campaign.run_fuzz_shard(
+        {"seed": 0, "start": 0, "count": 256, "minimize": False}
+    )
+    return folding
+
+
+def _mixed_graph():
+    g = DependenceGraph("mixed")
+    for n, lat in (("X", 1), ("Y", 2), ("Z", 1)):
+        g.add_node(n, lat)
+    g.add_edge("X", "Y")
+    g.add_edge("Y", "Z")
+    g.add_edge("Z", "X", distance=2)
+    g.add_edge("Y", "Y", distance=3)
+    return g
+
+
+def _with_flow(g):
+    """``g`` plus a Flow-in node feeding its first node and a Flow-out
+    node reading its last, so that there is something to fold."""
+    g = g.copy()
+    first, last = g.node_names()[0], g.node_names()[-1]
+    g.add_node("FI", 2)
+    g.add_node("FO", 1)
+    g.add_edge("FI", first)
+    g.add_edge(last, "FO", distance=1)
+    return g
+
+
+def _normalized_schedules():
+    """The workloads of tests/test_normalized.py, folded and not, with
+    and without non-Cyclic nodes."""
+    graphs = [distance_graph(d, lat) for d in range(1, 6) for lat in (1, 2)]
+    graphs.append(_mixed_graph())
+    graphs += [_with_flow(g) for g in graphs]
+    for g in graphs:
+        for machine in (Machine(3, UniformComm(1)), Machine(4, UniformComm(0))):
+            for folding in ("auto", "always"):
+                s = schedule_any_loop(g, machine, folding=folding)
+                yield f"{g.name}/{machine.processors}/{folding}", s
+
+
+def _assert_rows_match(name, scheduled, iterations):
+    want = _ref_program(scheduled, iterations)
+    assert scheduled.program(iterations) == want, (name, iterations)
+    assert decode_rows(
+        scheduled.instances(iterations), scheduled.graph.node_names()
+    ) == want, (name, iterations)
+
+
+def test_corpus_and_normalized_instances_equal_the_op_keyed_programs():
+    subjects = [*_corpus_schedules(), *_normalized_schedules()]
+    assert sum(_folds(s) for _, s in subjects) >= 20
+    for name, scheduled in subjects:
+        for iterations in (0, 1, 7, 12):
+            _assert_rows_match(name, scheduled, iterations)
+
+
+def test_fuzz_shard_folded_instances_equal_the_op_keyed_merge(monkeypatch):
+    folding = _fuzz_shard_folding_schedules(monkeypatch)
+    assert len(folding) >= 30  # 33 of the 256 cases fold
+    for case_id, scheduled in folding:
+        for iterations in (5, 7, 20):
+            _assert_rows_match(case_id, scheduled, iterations)
+
+
+def test_lowering_oracle_holds_on_folded_and_normalized_programs():
+    subjects = [*_corpus_schedules(), *_normalized_schedules()]
+    for name, scheduled in subjects[::3]:
+        _check_against_oracle(scheduled.graph, scheduled.program(6))
+
+
+def test_folded_rows_over_a_combined_graph_renumber_each_part():
+    # two copies of a folding loop side by side: each part's folded
+    # rows are renumbered into the whole graph's node indices
+    w = livermore18()
+    g = DependenceGraph("twice")
+    for suffix in ("", "'"):
+        for name in w.graph.node_names():
+            g.add_node(name + suffix, w.graph.latency(name))
+        for e in w.graph.edges:
+            g.add_edge(e.src + suffix, e.dst + suffix, e.distance)
+    s = compile_graph(g, w.machine, folding="always", cache=None).scheduled
+    assert isinstance(s, CombinedLoop) and all(map(_folds, s.parts))
+    _assert_rows_match("twice", s, 5)
+
+
+# ----------------------------------------------------------------------
+# one program form: nothing below the report re-derives dependences
+# ----------------------------------------------------------------------
+_LOWERED_MODULES = (
+    "repro.sim.",
+    "repro.codegen.partition",
+    "repro.codegen.interp",
+    "repro.core.scheduler",
+    "repro.core.normalized",
+)
+
+
+def test_no_module_below_the_report_derives_instance_dependences(
+    monkeypatch,
+):
+    from repro.chaos import FailStop, FaultPlan, run_resilient
+    from repro.fuzz.oracles import run_oracles
+
+    callers = Counter()
+    for method in ("instance_predecessors", "instance_successors"):
+        real = getattr(DependenceGraph, method)
+
+        def counting(self, op, _real=real):
+            frame = sys._getframe(1)
+            callers[frame.f_globals["__name__"], frame.f_code.co_name] += 1
+            return _real(self, op)
+
+        monkeypatch.setattr(DependenceGraph, method, counting)
+    case = next(
+        c for c in (generate_case("mesh", seed) for seed in range(100))
+        if _folds(compile_case(c))
+    )
+    assert run_oracles(case).ok
+    scheduled = compile_case(case)
+    base = evaluate(scheduled.graph, scheduled.program(20), ZeroComm())
+    plan = FaultPlan(0, (FailStop(base.used_processors()[0], 10),))
+    assert run_resilient(scheduled, 20, plan).outcome == "recovered"
+    # the sequential reference is the one caller: it is the oracle
+    assert callers[("repro.codegen.interp", "reference_graph_values")] > 0
+    offenders = {
+        caller: calls
+        for caller, calls in callers.items()
+        if caller[0].startswith(_LOWERED_MODULES)
+        and caller != ("repro.codegen.interp", "reference_graph_values")
+    }
+    assert offenders == {}
+
+
+# ----------------------------------------------------------------------
 # malformed programs
 # ----------------------------------------------------------------------
 def _faults(program):
@@ -228,7 +511,7 @@ def test_malformed_programs_raise_todays_errors(fault):
     with pytest.raises((GraphError, ScheduleValidationError)) as want:
         _ref_validate_program(w.graph, program)
     for check in (
-        lambda: validate_program(w.graph, program),
+        lambda: simulate(w.graph, program, w.machine.comm),
         lambda: lower(w.graph, program),
         lambda: evaluate(w.graph, program, w.machine.comm),
     ):
@@ -361,7 +644,9 @@ def test_entries_pickled_in_the_earlier_layouts_are_misses(
     old = {
         "placement": _OldPlacement(0, 0, Op("A", 0), 1),
         "lowered": _OldLoweredProgram(
-            tuple(lowered.rows), lowered.proc_of, lowered.bounds,
+            tuple(lowered.rows),
+            {op: j for j, row in enumerate(lowered.rows) for op in row},
+            lowered.bounds,
             lowered.latencies, lowered.edges, lowered.preds,
         ),
     }

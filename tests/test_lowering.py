@@ -19,7 +19,7 @@ import pytest
 from repro._types import Op
 from repro.baselines.doacross import DoacrossSchedule, schedule_doacross
 from repro.core.schedule import Schedule
-from repro.errors import DeadlockError
+from repro.errors import DeadlockError, ScheduleValidationError
 from repro.fuzz.corpus import load_corpus
 from repro.fuzz.generators import PATTERN_NAMES, generate_case
 from repro.graph.ddg import DependenceGraph
@@ -27,7 +27,7 @@ from repro.machine.comm import FluctuatingComm, UniformComm, ZeroComm
 from repro.pipeline import ArtifactCache, compile_graph, default_cache
 from repro.runner import execute_cell
 from repro.sim import fastpath
-from repro.sim.engine import ExecutionTrace, Message, validate_program
+from repro.sim.engine import ExecutionTrace, Message
 from repro.sim.fastpath import evaluate, evaluate_trace, lower
 from repro.workloads import fig7, livermore18, random_cyclic_loop
 
@@ -37,6 +37,29 @@ CORPUS = load_corpus(Path(__file__).parent / "corpus")
 # ----------------------------------------------------------------------
 # the one-step evaluator the split replaced, frozen as the reference
 # ----------------------------------------------------------------------
+def _ref_validate_program(graph, order):
+    """The Op-keyed program check the lowering replaced: op -> proc."""
+    if len(order) < 1:
+        raise ScheduleValidationError(
+            "need at least one processor (program has no processor rows)"
+        )
+    proc_of = {}
+    for j, ops in enumerate(order):
+        for op in ops:
+            if op in proc_of:
+                raise ScheduleValidationError(
+                    f"{op} appears twice in the program "
+                    f"(on P{proc_of[op]} and P{j})"
+                )
+            graph.node(op.node)
+            if op.iteration < 0:
+                raise ScheduleValidationError(
+                    f"negative iteration: {op} on P{j}"
+                )
+            proc_of[op] = j
+    return proc_of
+
+
 def _ref_messages(graph, sched, proc_of, comm, use_runtime):
     messages = []
     for op, j in proc_of.items():
@@ -55,7 +78,7 @@ def _ref_messages(graph, sched, proc_of, comm, use_runtime):
 
 
 def _ref_evaluate(graph, order, comm, *, use_runtime=False):
-    proc_of = validate_program(graph, order)
+    proc_of = _ref_validate_program(graph, order)
     rows = [list(row) for row in order]
     bounds = list(accumulate(map(len, rows), initial=0))
     n = bounds[-1]
@@ -201,7 +224,6 @@ def test_lowered_program_is_still_the_program():
     lowered = lower(w.graph, program)
     assert [list(row) for row in lowered] == doa.instances(5)
     assert lowered.rows == program
-    assert lowered.proc_of == validate_program(w.graph, program)
     again = lower(w.graph, lowered)
     assert (again.bounds, again.preds) == (lowered.bounds, lowered.preds)
 
