@@ -28,12 +28,11 @@ from dataclasses import dataclass
 
 from repro._types import Op, decode_rows
 from repro.core.flowio import interleave
-from repro.core.schedule import Schedule
+from repro.core.scheduler import LoopScheduleLike
 from repro.errors import SchedulingError
 from repro.graph.algorithms import topological_order
 from repro.graph.ddg import DependenceGraph
 from repro.machine.model import Machine
-from repro.sim.fastpath import evaluate
 
 __all__ = ["DoacrossSchedule", "schedule_doacross", "doacross_delay"]
 
@@ -67,7 +66,7 @@ def doacross_delay(
 
 
 @dataclass(frozen=True)
-class DoacrossSchedule:
+class DoacrossSchedule(LoopScheduleLike):
     """A DOACROSS scheduling decision: body order + round-robin."""
 
     graph: DependenceGraph
@@ -98,7 +97,11 @@ class DoacrossSchedule:
         )
 
     def program(self, iterations: int) -> list[list[Op]]:
-        """Round-robin per-processor op sequences."""
+        """Round-robin per-processor op sequences.
+
+        The same as the base class's; defined here because perfbench
+        wraps ``DoacrossSchedule.program`` where the class defines it.
+        """
         return decode_rows(self.instances(iterations), self.graph.node_names())
 
     def instances(
@@ -112,11 +115,6 @@ class DoacrossSchedule:
         graph = self.graph if graph is None else graph
         body = list(map(graph.node_index, self.body_order))
         return interleave(body, len(graph), iterations, self.machine.processors)
-
-    def compile_schedule(self, iterations: int) -> Schedule:
-        return evaluate(
-            self.graph, self.instances(iterations), self.machine.comm
-        )
 
     def describe(self) -> str:
         return (

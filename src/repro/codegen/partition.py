@@ -62,18 +62,16 @@ class ParallelProgram:
     def processors(self) -> int:
         return len(self.order)
 
-    def assignment(self) -> dict[Op, int]:
-        return {
-            op: j for j, row in enumerate(self.order) for op in row
-        }
-
-    def ops(self) -> list[Op]:
-        return [op for row in self.order for op in row]
-
     @cached_property
     def _sites(self) -> list[tuple[Op, int]]:
         """Each position's op and processor."""
         return [(op, j) for j, row in enumerate(self.order) for op in row]
+
+    def assignment(self) -> dict[Op, int]:
+        return dict(self._sites)
+
+    def ops(self) -> list[Op]:
+        return [op for op, _j in self._sites]
 
     @cached_property
     def positions(self) -> dict[Op, int]:

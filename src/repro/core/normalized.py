@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from repro._types import Op
-from repro.core.scheduler import CombinedLoop, InstanceProgram, ScheduledLoop
+from repro.core.scheduler import CombinedLoop, LoopScheduleLike, ScheduledLoop
 from repro.errors import SchedulingError
 from repro.graph.ddg import DependenceGraph
 from repro.graph.unwind import UnwoundLoop
@@ -33,7 +33,7 @@ __all__ = ["NormalizedSchedule", "schedule_any_loop"]
 
 
 @dataclass(frozen=True)
-class NormalizedSchedule(InstanceProgram):
+class NormalizedSchedule(LoopScheduleLike):
     """A schedule of an unwound loop, viewed in original coordinates.
 
     Its program and compile-time schedule are the original loop's

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Protocol
 
 from repro._types import Op, decode_rows
 from repro.core.classify import Classification
@@ -40,41 +39,26 @@ from repro.graph.ddg import DependenceGraph
 from repro.machine.model import Machine
 from repro.sim.fastpath import evaluate, pred_offsets
 
-__all__ = [
-    "CombinedLoop",
-    "InstanceProgram",
-    "LoopScheduleLike",
-    "ScheduledLoop",
-    "schedule_loop",
-]
+__all__ = ["ScheduledLoop", "CombinedLoop", "schedule_loop", "LoopScheduleLike"]
 
 
-class LoopScheduleLike(Protocol):
-    """Common interface of :class:`ScheduledLoop` and :class:`CombinedLoop`."""
+class LoopScheduleLike:
+    """Common base of the loop schedules.
+
+    A schedule emits its program as rows of instance indices
+    (:meth:`instances`); its ``Op`` program and compile-time timing are
+    read off those rows.
+    """
 
     graph: DependenceGraph
     machine: Machine
 
     @property
-    def total_processors(self) -> int: ...
+    def total_processors(self) -> int:
+        raise NotImplementedError
 
-    def program(self, iterations: int) -> list[list[Op]]: ...
-
-    def instances(
-        self, iterations: int, graph: DependenceGraph | None = None
-    ) -> list[list[int]]: ...
-
-    def compile_schedule(self, iterations: int) -> Schedule: ...
-
-    def steady_cycles_per_iteration(self) -> float: ...
-
-
-class InstanceProgram:
-    """A schedule whose program is the rows :meth:`instances` emits:
-    its ``Op`` program and compile-time timing are read off them."""
-
-    graph: DependenceGraph
-    machine: Machine
+    def steady_cycles_per_iteration(self) -> float:
+        raise NotImplementedError
 
     def instances(
         self, iterations: int, graph: DependenceGraph | None = None
@@ -93,7 +77,7 @@ class InstanceProgram:
 
 
 @dataclass(frozen=True)
-class ScheduledLoop(InstanceProgram):
+class ScheduledLoop(LoopScheduleLike):
     """Scheduling result for one connected loop graph.
 
     ``pattern`` is ``None`` exactly when the loop is DOALL (empty
@@ -313,7 +297,7 @@ class ScheduledLoop(InstanceProgram):
 
 
 @dataclass(frozen=True)
-class CombinedLoop(InstanceProgram):
+class CombinedLoop(LoopScheduleLike):
     """Independent component schedules running side by side."""
 
     graph: DependenceGraph

@@ -14,12 +14,11 @@ in-order execution), execution times satisfy a simple recurrence::
    indices ``it * n + v`` as the schedules' ``instances`` emit them,
    or a caller's rows of ops, which only ``lower`` encodes — is
    validated once with a position array (instance -> row-major
-   position), numbered
-   row-major, processor by processor, and flattened into integer
-   lists: each op's latency, and each op's in-program predecessors as
-   ``(position, edge slot)`` pairs.  Slot 0 means the same processor
-   (no message); slot ``s >= 1`` names the graph edge the message
-   travels.  The result, a :class:`LoweredProgram`, refers to no
+   position), numbered row-major, processor by processor, and
+   flattened into integer lists: each op's latency, and each op's
+   in-program predecessors as ``(position, edge slot)`` pairs.  Slot
+   0 means the same processor (no message); slot ``s >= 1`` names the
+   graph edge the message travels.  The result, a :class:`LoweredProgram`, refers to no
    communication model, so one lowering serves every model the
    program is timed under — Table 1's fluctuation levels and the comm
    sweep's true costs all time the same lowered program.
@@ -46,11 +45,10 @@ engine-agreement oracle, Gantt charts, trace export).  So are the
 lowered program's ``rows``, which a deadlock report,
 :func:`evaluate_trace`'s messages and per-message pricing read.
 
-The lowered program is the one program form below the report: the
-event engine (:func:`repro.sim.engine.simulate`), the partitioner
-and the message-passing interpreter (:mod:`repro.codegen`) read its
-predecessor lists too, and :func:`pred_offsets` gives them the
-per-node offsets they are built from.
+The event engine (:func:`repro.sim.engine.simulate`), the partitioner
+and the message-passing interpreter (:mod:`repro.codegen`) read the
+same predecessor lists; :func:`pred_offsets` gives the per-node
+offsets they are built from.
 
 With ``use_runtime=True`` the per-message *run-time* communication
 cost is charged (possibly fluctuating) instead of the compile-time

@@ -6,8 +6,17 @@ with a position array.  These tests pin that path:
 
 * the lowering against the ``Op``-keyed one it replaced, frozen below
   as a test-only oracle, over random programs on random graphs (live-
-  ins, cross-row messages, empty rows, deadlocks), with ``evaluate``
-  and ``evaluate_trace`` against the one-step reference evaluator;
+  ins, cross-row messages, empty rows, deadlocks) and over folded and
+  normalized programs, with ``evaluate`` and ``evaluate_trace``
+  against the one-step reference evaluator.  The event engine shares
+  the lowering, so the fuzz campaign's engine-agreement oracle cannot
+  check it: this oracle does;
+* folded and normalized schedules' instance rows against the
+  ``Op``-keyed folding merge and unwound-program mapping they
+  replaced, frozen below too;
+* nothing below the report asks the graph for an op's instance
+  dependences: the engine, codegen, folding and normalization read
+  the lowered program;
 * malformed programs raise the same errors with the same messages;
 * flat patterns equal (and hash like) the ones built from placements
   the way the frozen reference scheduler builds them;
