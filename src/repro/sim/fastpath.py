@@ -65,6 +65,7 @@ can never deadlock, so this doubles as a codegen sanity check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, chain, count
 from typing import Callable, Iterator, Sequence
 
@@ -272,6 +273,27 @@ def _price(
     return preds, costs
 
 
+def _messages(
+    lowered: LoweredProgram,
+    preds: list[tuple[tuple[int, int], ...]],
+    costs: list[int],
+    ends: list[int],
+) -> list[Message]:
+    """The messages of a solve: one per priced cross-processor
+    predecessor that finished (``ends`` nonzero)."""
+    ops = list(chain.from_iterable(lowered.rows))
+    proc = lowered.procs()
+    return [
+        Message(
+            ops[pi], ops[k], proc[pi], proc[k], ends[pi],
+            ends[pi] + costs[slot],
+        )
+        for k, entry in enumerate(preds)
+        for pi, slot in entry
+        if slot and ends[pi]
+    ]
+
+
 def _solve(
     graph: DependenceGraph,
     order: Sequence[Sequence[Op]] | LoweredProgram,
@@ -339,19 +361,8 @@ def _solve(
         makespan=max(proc_end),
     )
 
-    def messages() -> list[Message]:
-        ops = list(chain.from_iterable(lowered.rows))
-        proc = lowered.procs()
-        return [
-            Message(
-                ops[pi], ops[k], proc[pi], proc[k], ends[pi],
-                ends[pi] + costs[slot],
-            )
-            for k, entry in enumerate(preds)
-            for pi, slot in entry
-            if slot and ends[pi]
-        ]
-
+    # a partial, not a closure: the solve loop's lists stay fast locals
+    messages = partial(_messages, lowered, preds, costs, ends)
     placed = sum(executed)
     if placed != n:
         rows = zip(lowered.rows, executed)
