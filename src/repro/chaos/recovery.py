@@ -207,7 +207,8 @@ def run_resilient(
         )
     except ProcessorFailureError as err:
         return _recover(
-            scheduled, iterations, err, ff_makespan, fabric.events
+            scheduled, iterations, len(program.instances), err,
+            ff_makespan, fabric.events,
         )
     except StallError as err:
         return ChaosRunResult(
@@ -237,13 +238,13 @@ def run_resilient(
 def _recover(
     scheduled: LoopScheduleLike,
     iterations: int,
+    processors: int,
     err: ProcessorFailureError,
     ff_makespan: int,
     events: list,
 ) -> ChaosRunResult:
     failed = dict(err.failed)
-    program_width = len(scheduled.instances(iterations))
-    survivors = [j for j in range(program_width) if j not in failed]
+    survivors = [j for j in range(processors) if j not in failed]
     result = ChaosRunResult(
         outcome="failed",
         iterations=iterations,

@@ -201,16 +201,15 @@ def run_parallel_graph(
     Every edge routes the producer instance's value; an op's value
     hashes its sorted input values (missing producers contribute a
     live-in default keyed by the *edge*, so a dropped message changes
-    the result).  Ops are positions in the program's lowering; an
-    op's inputs are its instance predecessors in ``graph``, ``x +
-    offset`` (:func:`~repro.sim.fastpath.pred_offsets`), read from its
-    own processor's mailbox, and its sends the program's.
+    the result).  Ops are positions in the program's lowering, so
+    ``graph`` is the one the program was built on; an op's inputs are
+    its instance predecessors ``x + offset``
+    (:func:`~repro.sim.fastpath.pred_offsets`), read from its own
+    processor's mailbox, and its sends the program's.
     """
-    from repro.sim.fastpath import lower, pred_offsets
+    from repro.sim.fastpath import pred_offsets
 
     lowered = program.lowered
-    if lowered.names != tuple(graph.node_names()):
-        lowered = lower(graph, program.order)
     flat = [x for row in lowered.instances for x in row]
     proc, receivers = lowered.procs(), program.receivers
     position = {x: k for k, x in enumerate(flat)}

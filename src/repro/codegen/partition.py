@@ -13,12 +13,13 @@ SENDs the same links read from the producer's side.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from repro._types import Op
 from repro.core.scheduler import LoopScheduleLike
-from repro.errors import CodegenError, ScheduleValidationError
+from repro.errors import CodegenError, GraphError, ScheduleValidationError
 from repro.graph.ddg import DependenceGraph
 from repro.sim.fastpath import LoweredProgram, lower
 
@@ -39,44 +40,42 @@ class Transfer:
 class ParallelProgram:
     """Per-processor op sequences plus derived communication sets.
 
-    ``lowered`` is the program lowered against ``graph``; it is built
-    from ``order`` unless given.  A malformed program (an op on two
-    processors, a negative iteration, no processor) raises
+    The program is lowered against ``graph`` when it is built, and
+    ``positions`` numbers its ops as the lowering does.  A malformed
+    program (an op on two processors, a negative iteration, no
+    processor, a node not in ``graph``) raises
     :class:`~repro.errors.CodegenError`.
     """
 
     graph: DependenceGraph
     order: tuple[tuple[Op, ...], ...]
     iterations: int
-    lowered: LoweredProgram = field(default=None, repr=False, compare=False)
+    positions: dict[Op, int] = field(init=False, repr=False, compare=False)
+    lowered: LoweredProgram = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.lowered is None:
-            try:
-                lowered = lower(self.graph, self.order)
-            except ScheduleValidationError as exc:
-                raise CodegenError(str(exc)) from None
-            object.__setattr__(self, "lowered", lowered)
+        positions: dict[Op, int] = {}
+        for row in self.order:
+            for op in row:
+                if op in positions:
+                    raise CodegenError(f"{op} assigned to two processors")
+                positions[op] = len(positions)
+        try:
+            lowered = lower(self.graph, self.order)
+        except (GraphError, ScheduleValidationError) as exc:
+            raise CodegenError(str(exc)) from None
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "lowered", lowered)
 
     @property
     def processors(self) -> int:
         return len(self.order)
 
-    @cached_property
-    def _sites(self) -> list[tuple[Op, int]]:
-        """Each position's op and processor."""
-        return [(op, j) for j, row in enumerate(self.order) for op in row]
-
     def assignment(self) -> dict[Op, int]:
-        return dict(self._sites)
+        return dict(zip(self.positions, self.lowered.procs()))
 
     def ops(self) -> list[Op]:
-        return [op for op, _j in self._sites]
-
-    @cached_property
-    def positions(self) -> dict[Op, int]:
-        """Each op's row-major position in the lowered program."""
-        return {op: k for k, (op, _j) in enumerate(self._sites)}
+        return list(self.positions)
 
     @cached_property
     def receivers(self) -> list[list[int]]:
@@ -92,17 +91,14 @@ class ParallelProgram:
         return [[k for _, k in sorted(row)] for row in sends]
 
     def _transfer(self, src: int, dst: int) -> Transfer:
-        (a, i), (b, j) = self._sites[src], self._sites[dst]
+        bounds = self.lowered.bounds
+        i, j = bisect_right(bounds, src) - 1, bisect_right(bounds, dst) - 1
+        a, b = self.order[i][src - bounds[i]], self.order[j][dst - bounds[j]]
         return Transfer(a, b, i, j)
 
     def transfers(self) -> list[Transfer]:
         """All cross-processor value transfers, in (dst, src) order."""
-        out = [
-            self._transfer(pi, k)
-            for k, entry in enumerate(self.lowered.preds)
-            for pi, slot in entry
-            if slot
-        ]
+        out = [t for op in self.positions for t in self.receives_of(op)]
         out.sort(key=lambda t: (t.dst, t.src))
         return out
 
@@ -123,6 +119,5 @@ def partition(
     """Materialize a scheduled loop into a parallel program."""
     if iterations < 1:
         raise CodegenError("iterations must be >= 1")
-    lowered = lower(scheduled.graph, scheduled.instances(iterations))
-    order = tuple(map(tuple, lowered.rows))
-    return ParallelProgram(scheduled.graph, order, iterations, lowered)
+    order = tuple(map(tuple, scheduled.program(iterations)))
+    return ParallelProgram(scheduled.graph, order, iterations)

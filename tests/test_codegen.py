@@ -54,7 +54,7 @@ class TestPartition:
         assert sends == recvs
 
     def test_duplicate_assignment_rejected(self, fig7_workload):
-        with pytest.raises(CodegenError, match="appears twice"):
+        with pytest.raises(CodegenError, match="two processors"):
             ParallelProgram(
                 fig7_workload.graph,
                 ((Op("A", 0),), (Op("A", 0),)),

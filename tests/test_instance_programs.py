@@ -43,6 +43,7 @@ import repro.core.schedule as schedule_mod
 import repro.sim.fastpath as fastpath_mod
 from repro._types import Op, decode_rows
 from repro.baselines.doacross import schedule_doacross
+from repro.codegen.partition import ParallelProgram
 from repro.core.classify import classify
 from repro.core.cyclic import schedule_cyclic
 from repro.core.cyclic_reference import schedule_cyclic_reference
@@ -51,6 +52,7 @@ from repro.core.normalized import NormalizedSchedule, schedule_any_loop
 from repro.core.patterns import Pattern
 from repro.core.schedule import Placement
 from repro.errors import (
+    CodegenError,
     DeadlockError,
     GraphError,
     PatternNotFoundError,
@@ -526,6 +528,14 @@ def test_malformed_programs_raise_todays_errors(fault):
     ):
         with pytest.raises(type(want.value)) as got:
             check()
+        assert str(got.value) == str(want.value)
+    # a parallel program is lowered when it is built; it reports the
+    # same faults as a CodegenError, a duplicate in its own words
+    with pytest.raises(CodegenError) as got:
+        ParallelProgram(w.graph, tuple(map(tuple, program)), 4)
+    if fault == "duplicate":
+        assert str(got.value) == f"{program[0][0]} assigned to two processors"
+    else:
         assert str(got.value) == str(want.value)
 
 
