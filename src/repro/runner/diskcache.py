@@ -23,9 +23,16 @@ detected, **quarantined**
 (moved into ``<root>/_quarantine/``, counted in ``corrupt_evictions``)
 and reported as a plain miss — a campaign over a trashed cache
 directory recomputes and overwrites, it never crashes.  Writes go
-through :func:`repro.util.io.atomic_write_bytes` (temp file + fsync
-+ ``os.replace``), so a worker killed mid-write can at worst leave a
-stale temp file, never a half-entry under a live key.
+through :func:`repro.util.io.atomic_write_bytes` with ``sync=False``
+(temp file + ``os.replace``, no fsync), so a worker killed mid-write
+can at worst leave a stale temp file, never a half-entry under a
+live key: a killed process loses no page-cache writes.  An OS crash
+or power cut can, and may leave an entry empty, cut short or holding
+an older file's blocks; its checksum fails, so it is quarantined and
+recomputed like any other damage, and the next ``put`` heals the
+key.  An entry is a recomputable copy of a pass output, so it is not
+worth an fsync per write; the cell journal, which kill→resume relies
+on, keeps its fsync per record.
 """
 
 from __future__ import annotations
@@ -138,7 +145,9 @@ class DiskCache:
             self.put_errors += 1
             return
         try:
-            atomic_write_bytes(self._path(key), frame(key, blob))
+            atomic_write_bytes(
+                self._path(key), frame(key, blob), sync=False
+            )
         except OSError:
             self.put_errors += 1
 

@@ -11,6 +11,12 @@ response/artifact writes go through it.
 rewrite would be O(file) per record, so appends instead flush+fsync
 each record and rely on the log's recovery scan to discard a torn
 tail left by a crash mid-append.
+
+Only :class:`repro.runner.diskcache.DiskCache` passes ``sync=False``
+to :func:`atomic_write_bytes`: its entries are recomputable and
+checksummed under their key, so it trades the fsync for a possible
+empty or short file after an OS crash, which its reader quarantines
+as a miss.  Exports and the append-only logs keep syncing.
 """
 
 from __future__ import annotations
@@ -21,12 +27,17 @@ import tempfile
 __all__ = ["append_bytes", "atomic_write_bytes", "atomic_write_text"]
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
+def atomic_write_bytes(
+    path: str, data: bytes, *, sync: bool = True
+) -> None:
     """Write ``data`` to ``path`` atomically (temp file + fsync + rename).
 
     The temp file lives in the destination directory so ``os.replace``
     stays a same-filesystem atomic rename; readers see either the old
-    content or the complete new content, never a prefix.
+    content or the complete new content, never a prefix.  That holds
+    for any process, killed or not.  ``sync=False`` skips the fsync:
+    an OS crash or power cut before the kernel writes the data back
+    may then leave the renamed file empty or short.
     """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(
@@ -35,8 +46,9 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
+            if sync:
+                fh.flush()
+                os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -15,7 +15,9 @@ from repro.chaos import (
 from repro.chaos.cache import corrupt_blob
 from repro.experiments import table1_cells
 from repro.pipeline.cache import CacheEntry
-from repro.runner import DiskCache, run_campaign
+from repro.runner import DiskCache, TieredCache, run_campaign
+from repro.runner.journal import CellJournal
+from repro.util.recordlog import frame
 
 KEY = "a" * 16
 
@@ -69,8 +71,6 @@ class TestQuarantine:
         assert quarantined[0].startswith(f"{KEY}.checksum.")
 
     def test_checksummed_but_unpicklable_quarantined(self, tmp_path):
-        from repro.util.recordlog import frame
-
         c = DiskCache(str(tmp_path))
         with open(c._path(KEY), "wb") as fh:
             fh.write(frame(KEY, b"\x80\x04 definitely not pickle"))
@@ -91,6 +91,53 @@ class TestQuarantine:
     def test_unknown_corruption_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown corruption kind"):
             corrupt_blob(b"data", "meteor")
+
+
+class TestUnsyncedWrites:
+    """Entries are written without fsync, so an OS crash can leave one
+    empty or cut short under its live key; each is a quarantined miss."""
+
+    @pytest.mark.parametrize("cut", ["empty", "mid_body"])
+    def test_torn_entry_is_a_quarantined_miss_and_heals(self, tmp_path, cut):
+        c = DiskCache(str(tmp_path))
+        c.put(KEY, entry("good"))
+        path = c._path(KEY)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        head = len(frame(KEY, b""))  # magic, length and digest
+        keep = 0 if cut == "empty" else head + (len(data) - head) // 2
+        assert cut == "empty" or head < keep < len(data)
+        with open(path, "wb") as fh:
+            fh.write(data[:keep])
+        assert c.get(KEY) is None
+        assert c.corrupt_evictions == 1 and c.misses == 1
+        assert [q.split(".")[:2] for q in c.quarantined()] == [
+            [KEY, "checksum"]
+        ]
+        c.put(KEY, entry("recomputed"))
+        assert c.get(KEY).artifacts == {"x": "recomputed"}
+
+    def test_cache_puts_skip_fsync_journal_appends_keep_it(
+        self, tmp_path, monkeypatch
+    ):
+        synced = []
+        real = os.fsync
+
+        def counting(fd):
+            synced.append(fd)
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", counting)
+        disk = DiskCache(str(tmp_path / "cache"))
+        disk.put(KEY, entry("disk"))
+        TieredCache(disk).put("b" * 16, entry("tiered"))
+        assert synced == []
+        assert len(disk) == 2
+        journal = CellJournal.open(str(tmp_path / "journal"), "c" * 32)
+        for i in range(3):
+            journal.append(f"cell{i}", {"value": i})
+            assert len(synced) == i + 1
+        assert journal.recover().records == 3
 
 
 class TestChaosDiskCache:
