@@ -56,14 +56,16 @@ def _interleaving(program: ParallelProgram) -> list[int]:
     Any dependence-consistent interleaving yields the same values
     (dataflow determinism); we use the same deadlock-detecting forward
     pass as the simulator, on the program's lowering, so a cyclic-wait
-    program is rejected here too.
+    program is rejected here too.  The solve keeps the lowering's
+    row-major positions, so its start rows order them by ``(start,
+    processor)`` without building an ``Op``.
     """
     from repro.machine.comm import ZeroComm
     from repro.sim.fastpath import evaluate
 
     sched = evaluate(program.graph, program.lowered, ZeroComm())
-    position = program.positions
-    return [position[p.op] for p in sched.placements()]
+    keys = [(t, j) for j, row in enumerate(sched.start_rows()) for t in row]
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 def run_parallel_loop(

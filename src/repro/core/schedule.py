@@ -180,6 +180,18 @@ class Schedule:
         self._ensure_sorted()
         return list(self._by_proc[proc])
 
+    def start_rows(self) -> list[list[int]]:
+        """Each processor's start cycles, in its row order.
+
+        A schedule built by :meth:`from_rows` returns its own lists,
+        building no placement: read them, do not modify them.
+        """
+        rows = self._rows
+        if rows is not None:
+            return rows[1]
+        self._ensure_sorted()
+        return [[p.start for p in row] for row in self._by_proc]
+
     def placements(self) -> list[Placement]:
         """All placements, ordered by (start, proc)."""
         return sorted(self._by_op.values())

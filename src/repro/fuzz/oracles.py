@@ -43,6 +43,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
+from repro._types import Op, decode_rows
 from repro.errors import ReproError
 from repro.fuzz.generators import FuzzCase, behavior_signature
 from repro.machine.comm import FluctuatingComm
@@ -257,32 +258,49 @@ def _oracle_engine_agreement(case: FuzzCase, scheduled) -> None:
     )
     program = lower(case.graph, scheduled.instances(ENGINE_ITERATIONS))
     fast = evaluate(case.graph, program, comm, use_runtime=True)
-    slow = simulate(case.graph, program, comm, use_runtime=True)
-    if fast.makespan() != slow.schedule.makespan():
+    slow = simulate(case.graph, program, comm, use_runtime=True).schedule
+    if fast.makespan() != slow.makespan():
         raise OracleViolation(
             f"makespan disagrees: fastpath {fast.makespan()}, "
-            f"engine {slow.schedule.makespan()}"
+            f"engine {slow.makespan()}"
         )
-    for op in fast.ops():
-        if fast.start(op) != slow.schedule.start(op):
+    # Both solves keep the lowering's rows, so their start rows line
+    # up position by position; an op is decoded only to name the first
+    # mismatch in row-major order.
+    rows = zip(program.instances, fast.start_rows(), slow.start_rows())
+    for row, ours, theirs in rows:
+        if ours != theirs:
+            i = next(i for i, t in enumerate(ours) if t != theirs[i])
+            it, v = divmod(row[i], len(program.names))
             raise OracleViolation(
-                f"start time of {op} disagrees: fastpath "
-                f"{fast.start(op)}, engine {slow.schedule.start(op)}"
+                f"start time of {Op(program.names[v], it)} disagrees: "
+                f"fastpath {ours[i]}, engine {theirs[i]}"
             )
 
 
 # ----------------------------------------------------------------------
 # oracle: recompile-from-cache bit-identity
 # ----------------------------------------------------------------------
-def _canonical_schedule(scheduled) -> str:
-    rows = scheduled.program(5)
-    body = ";".join(
-        ",".join(f"{op.node}@{op.iteration}" for op in row) for row in rows
-    )
+def _canonical_schedule(scheduled) -> tuple:
+    """What recompile identity compares: node names, ``instances(5)``
+    rows, processors and rate, as integers and tuples."""
     return (
-        f"procs={scheduled.total_processors}"
-        f"|rate={scheduled.steady_cycles_per_iteration()!r}|{body}"
+        tuple(scheduled.graph.node_names()),
+        tuple(map(tuple, scheduled.instances(5))),
+        scheduled.total_processors,
+        scheduled.steady_cycles_per_iteration(),
     )
+
+
+def _schedule_text(key: tuple) -> str:
+    """A canonical schedule as ``node@iteration`` text, to word a
+    mismatch."""
+    names, rows, procs, rate = key
+    body = ";".join(
+        ",".join(f"{op.node}@{op.iteration}" for op in row)
+        for row in decode_rows(rows, names)
+    )
+    return f"procs={procs}|rate={rate!r}|{body}"
 
 
 def _oracle_recompile_identity(case: FuzzCase, scheduled) -> None:
@@ -309,14 +327,15 @@ def _oracle_recompile_identity(case: FuzzCase, scheduled) -> None:
     if a != b:
         raise OracleViolation(
             "warm recompile produced a different schedule "
-            f"(cold {a[:80]}... vs warm {b[:80]}...)"
+            f"(cold {_schedule_text(a)[:80]}... vs "
+            f"warm {_schedule_text(b)[:80]}...)"
         )
     # the fresh compile the campaign already did must agree too
     c = _canonical_schedule(scheduled)
     if c != a:
         raise OracleViolation(
             "uncached compile disagrees with cached compile "
-            f"({c[:80]}... vs {a[:80]}...)"
+            f"({_schedule_text(c)[:80]}... vs {_schedule_text(a)[:80]}...)"
         )
 
 

@@ -33,6 +33,7 @@ from repro.fuzz.generators import (
 from repro.fuzz.minimize import minimize_case
 from repro.fuzz.oracles import (
     ORACLE_NAMES,
+    compile_case,
     failure_predicate,
     run_oracles,
 )
@@ -137,6 +138,82 @@ class TestOracles:
         pred = failure_predicate("compile")
         assert pred(broken)
         assert not pred(generate_case("chain", 0))
+
+
+    def test_recompile_identity_messages_keep_their_text(self, monkeypatch):
+        import repro.fuzz.oracles as oracles
+
+        def text(scheduled):
+            # the schedule as the oracle has always worded it
+            body = ";".join(
+                ",".join(f"{op.node}@{op.iteration}" for op in row)
+                for row in scheduled.program(5)
+            )
+            return (
+                f"procs={scheduled.total_processors}"
+                f"|rate={scheduled.steady_cycles_per_iteration()!r}|{body}"
+            )
+
+        case = generate_case("chain", 0)
+        mine = compile_case(case)
+        other = compile_case(generate_case("chain", 1))
+        assert text(mine) != text(other)
+
+        # the campaign's own compile disagrees with the cached ones
+        monkeypatch.setattr(oracles, "compile_case", lambda c: other)
+        [failure] = run_oracles(
+            case, oracles=("recompile_identity",)
+        ).failures
+        assert failure.message == (
+            "uncached compile disagrees with cached compile "
+            f"({text(other)[:80]}... vs {text(mine)[:80]}...)"
+        )
+        monkeypatch.undo()
+
+        # the warm recompile disagrees with the cold one
+        real, calls = oracles._canonical_schedule, []
+
+        def warm_is_other(scheduled):
+            calls.append(scheduled)
+            return real(other if len(calls) == 2 else scheduled)
+
+        monkeypatch.setattr(oracles, "_canonical_schedule", warm_is_other)
+        [failure] = run_oracles(
+            case, oracles=("recompile_identity",)
+        ).failures
+        assert failure.message == (
+            "warm recompile produced a different schedule "
+            f"(cold {text(mine)[:80]}... vs warm {text(other)[:80]}...)"
+        )
+
+    def test_engine_agreement_message_keeps_its_text(self, monkeypatch):
+        import repro.sim.engine as engine
+        from repro.sim.fastpath import evaluate
+
+        real, seen = engine.simulate, {}
+
+        def skewed(graph, program, comm, **kw):
+            trace = real(graph, program, comm, **kw)
+            # delay the first op of a row that has a second one: the
+            # makespan stays, one start disagrees
+            rows = trace.schedule.start_rows()
+            j = next(j for j, row in enumerate(rows) if len(row) > 1)
+            rows[j][0] += 1
+            seen.update(args=(graph, program, comm), trace=trace)
+            return trace
+
+        monkeypatch.setattr(engine, "simulate", skewed)
+        [failure] = run_oracles(
+            generate_case("chain", 0), oracles=("engine_agreement",)
+        ).failures
+        fast = evaluate(*seen["args"], use_runtime=True)
+        slow = seen["trace"].schedule
+        # the first disagreeing op in the fastpath's op order
+        op = next(op for op in fast.ops() if fast.start(op) != slow.start(op))
+        assert failure.message == (
+            f"start time of {op} disagrees: fastpath "
+            f"{fast.start(op)}, engine {slow.start(op)}"
+        )
 
 
 # ----------------------------------------------------------------------
