@@ -34,10 +34,10 @@ def atomic_write_bytes(
 
     The temp file lives in the destination directory so ``os.replace``
     stays a same-filesystem atomic rename; readers see either the old
-    content or the complete new content, never a prefix.  That holds
-    for any process, killed or not.  ``sync=False`` skips the fsync:
-    an OS crash or power cut before the kernel writes the data back
-    may then leave the renamed file empty or short.
+    content or the complete new content, never a prefix, even if the
+    writer is killed.  ``sync=False`` skips the fsync, which only an
+    OS crash or power cut needs: one before the kernel writes the data
+    back may leave the renamed file empty or short.
     """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(
