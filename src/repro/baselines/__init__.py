@@ -1,5 +1,5 @@
-"""Baseline schedulers: sequential, DOACROSS (± reordering), Perfect
-Pipelining."""
+"""Baseline schedulers: DOACROSS (± reordering), Perfect Pipelining
+and the modulo-schedule reference."""
 
 from repro.baselines.doacross import (
     DoacrossSchedule,
@@ -14,7 +14,6 @@ from repro.baselines.optimal import (
 )
 from repro.baselines.perfect import schedule_perfect
 from repro.baselines.reorder import minimize_delay
-from repro.baselines.sequential import sequential_program
 
 __all__ = [
     "DoacrossSchedule",
@@ -26,5 +25,4 @@ __all__ = [
     "rate_lower_bound",
     "schedule_doacross",
     "schedule_perfect",
-    "sequential_program",
 ]

@@ -38,7 +38,7 @@ from repro.pipeline.cache import (
     machine_runtime_fingerprint,
 )
 from repro.pipeline.context import CompilationContext
-from repro.pipeline.manager import PassManager, collect_reports, last_report
+from repro.pipeline.manager import PassManager, collect_reports
 from repro.pipeline.passes import (
     BuildDDGPass,
     ClassifyPass,
@@ -88,7 +88,6 @@ __all__ = [
     "default_cache",
     "fingerprint",
     "frontend_passes",
-    "last_report",
     "machine_compile_fingerprint",
     "machine_runtime_fingerprint",
     "merge_aggregated",

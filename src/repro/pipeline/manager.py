@@ -35,7 +35,7 @@ from repro.pipeline.context import PRODUCERS, CompilationContext
 from repro.pipeline.passes import Pass, PassOutput
 from repro.pipeline.report import PassRecord, PipelineReport
 
-__all__ = ["PassManager", "collect_reports", "last_report", "publish_report"]
+__all__ = ["PassManager", "collect_reports", "publish_report"]
 
 #: Per-pass progress event, delivered to ``run(..., progress=)``:
 #: ``{"pass", "index", "total", "cache_hit", "seconds", "key"}``.
@@ -45,7 +45,6 @@ ProgressCallback = Callable[[dict[str, Any]], None]
 _INPUT_KEYS = ("source", "loop", "graph", "original_graph", "unwound")
 
 _COLLECTORS: list[list[PipelineReport]] = []
-_LAST_REPORT: list[PipelineReport] = []
 # A forked child reports to its own collectors, not to copies of its
 # parent's that nobody reads.
 if hasattr(os, "register_at_fork"):
@@ -75,19 +74,12 @@ def collect_reports() -> Iterator[list[PipelineReport]]:
                 break
 
 
-def last_report() -> PipelineReport | None:
-    """The most recent report produced by any PassManager, if any."""
-    return _LAST_REPORT[-1] if _LAST_REPORT else None
-
-
 def publish_report(report: PipelineReport) -> None:
-    """Make ``report`` the last report and add it to every collector.
+    """Add ``report`` to every collector.
 
     Every :meth:`PassManager.run` publishes its report; the serve
     daemon publishes the reports its worker processes ship home.
     """
-    _LAST_REPORT.append(report)
-    del _LAST_REPORT[:-1]
     for sink in _COLLECTORS:
         sink.append(report)
 

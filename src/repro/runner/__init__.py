@@ -27,7 +27,6 @@ from repro.runner.cells import (
 from repro.runner.core import (
     CampaignResult,
     CellResult,
-    backoff_delay,
     backoff_wave,
     parse_shard,
     run_campaign,
@@ -42,7 +41,6 @@ __all__ = [
     "CellResult",
     "DiskCache",
     "TieredCache",
-    "backoff_delay",
     "backoff_wave",
     "campaign_key",
     "execute_cell",

@@ -59,7 +59,6 @@ from repro.runner.journal import CellJournal, campaign_key
 __all__ = [
     "CampaignResult",
     "CellResult",
-    "backoff_delay",
     "backoff_wave",
     "parse_shard",
     "run_campaign",
@@ -237,18 +236,6 @@ def backoff_wave(
     jitter = 0.5 + int.from_bytes(h, "big") / 2**64
     jittered = nominal * jitter
     return min(cap, jittered), jittered > cap
-
-
-def backoff_delay(
-    base: float,
-    attempt: int,
-    pending_ids: Sequence[int],
-    *,
-    cap: float = 8.0,
-) -> float:
-    """The delay half of :func:`backoff_wave` (kept for callers that
-    only need the seconds)."""
-    return backoff_wave(base, attempt, pending_ids, cap=cap)[0]
 
 
 def parse_shard(spec: str) -> tuple[int, int]:
@@ -550,7 +537,7 @@ def run_campaign(
         Extra attempts for cells that failed, crashed or timed out.
     retry_backoff:
         Base seconds of the exponential backoff slept before each
-        retry wave (see :func:`backoff_delay`); ``0`` restores the old
+        retry wave (see :func:`backoff_wave`); ``0`` restores the old
         immediate-retry behaviour.  Each wave's actual delay is
         recorded in the campaign span args (``backoff.attemptN``) and
         in ``stats.retry_backoffs``.

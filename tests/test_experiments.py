@@ -29,6 +29,8 @@ class TestWorkedExamples:
         assert s.pattern is not None
         # a pattern repeating with a finite index difference exists
         assert s.pattern.iter_shift >= 1
+        # all seven nodes recur in it
+        assert set(s.pattern.node_names()) == set("ABCDEFG")
 
     def test_fig7_exact(self):
         m = run_fig7()
@@ -41,6 +43,8 @@ class TestWorkedExamples:
         assert r.sp_natural == 0.0
         assert r.sp_reordered == 0.0
         assert r.reordered.delay <= r.natural.delay
+        # reordering can shave the delay (7 -> 6) but never below the body
+        assert r.reordered.delay >= 5
 
     def test_fig9_cytron(self):
         m = run_fig9()
@@ -95,6 +99,42 @@ class TestTable1:
                 assert ours >= 0.0 and doa >= 0.0
 
 
+class TestTable1At50:
+    """Table 1(a) per loop and Table 1(b)'s averages and factors at 50
+    iterations.  Our random loops differ from the authors' (unknown 1990
+    RNG); the reproduced claims are the per-loop dominance, the spread
+    and the aggregate shape."""
+
+    #: paper Table 1(b): (ours, DOACROSS, factor) at mm = 1/3/5
+    PAPER = {1: (47.4, 16.3, 2.9), 3: (39.1, 13.1, 3.0), 5: (30.3, 9.5, 3.3)}
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return run_table1(iterations=50)
+
+    def test_table1a_per_loop(self, table):
+        assert len(table.rows) == 25
+        # per-loop dominance: DOACROSS wins at most the paper's 1-2 loops
+        for mm in (1, 3, 5):
+            assert table.losses(mm) <= 2
+        # the spread covers both easy and hard loops (paper: 6..68 at mm=1)
+        sps = [r.sp[1][0] for r in table.rows]
+        assert max(sps) > 60.0
+
+    def test_table1b_averages_and_factor(self, table):
+        for mm, (po, pd, pf) in self.PAPER.items():
+            # aggregate shape: same ballpark as the paper (our schedules
+            # cross processors a little less, so they degrade more gently
+            # with mm than the authors' — see EXPERIMENTS.md)
+            assert table.mean_ours(mm) == pytest.approx(po, abs=12)
+            assert table.mean_doacross(mm) == pytest.approx(pd, abs=7)
+            assert table.factor(mm) >= 2.0
+        # the robustness headline: the factor does not degrade with mm
+        assert table.factor(5) >= table.factor(1)
+        # and our averages degrade gracefully with mm
+        assert table.mean_ours(1) >= table.mean_ours(3) >= table.mean_ours(5)
+
+
 class TestCommSweep:
     def test_profitable_at_seven_x(self):
         pts = run_comm_sweep(
@@ -104,6 +144,19 @@ class TestCommSweep:
         # conclusion's claim: still clearly profitable at 7x node time
         assert by_k[7].sp_ours > 20.0
         assert by_k[7].sp_ours > 2 * by_k[7].sp_doacross
+
+    def test_conclusion_robustness_sweep(self):
+        """Schedule with k = 3, execute with worst-case true cost swept
+        up to 14 cycles (node latencies are 1..3)."""
+        pts = run_comm_sweep(seeds=range(1, 11), iterations=40)
+        by_k = {p.true_k: p for p in pts}
+        # profitable at ~7x node execution time
+        assert by_k[7].sp_ours > 20.0
+        # and still beating DOACROSS by a growing factor
+        for k in (3, 7, 14):
+            assert by_k[k].sp_ours > 2 * by_k[k].sp_doacross
+        # graceful degradation: Sp declines slowly as true cost quadruples
+        assert by_k[14].sp_ours > 0.5 * by_k[3].sp_ours
 
 
 class TestMeasure:

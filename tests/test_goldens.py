@@ -53,8 +53,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: fields that time the run rather than describe its result: each
 #: pattern's second group is masked to ``<name>`` before comparing
 TIMING_FIELDS = {
-    # per-pass and per-pattern columns: "0.169ms", "mean    5.6 ms"
-    "ms": re.compile(r"(\b)(\d+(?:\.\d+)? ?ms)\b"),
+    # per-pass and per-pattern columns: "0.169ms", "mean    5.6 ms";
+    # a right-aligned column's padding goes with its number, so a time
+    # that gains a digit masks to the same text
+    "ms": re.compile(r"( ?) *(\b\d+(?:\.\d+)? ?ms)\b"),
     # "wall time: 1.214s" and JSON "...seconds": 0.25
     "seconds": re.compile(r"(wall time: |seconds\": )([\d.e-]+s?)"),
     # JSON "latency...": 0.5
@@ -82,6 +84,11 @@ def mask(text: str) -> str:
     for name, pattern in TIMING_FIELDS.items():
         text = pattern.sub(rf"\1<{name}>", text)
     return text
+
+
+def test_mask_absorbs_column_padding():
+    assert mask("mean    5.6 ms") == mask("mean   10.2 ms") == "mean <ms>"
+    assert mask("  X  0.169ms  -") == mask("  X 10.169ms  -")
 
 
 def _start(name: str, workdir: str) -> subprocess.Popen:

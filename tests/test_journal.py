@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from repro.errors import ReproError
 from repro.fuzz.campaign import run_fuzz
 from repro.runner.cells import Cell
-from repro.runner.core import backoff_delay, backoff_wave, run_campaign
+from repro.runner.core import backoff_wave, run_campaign
 from repro.runner.journal import (
     CellJournal,
     campaign_key,
@@ -361,11 +361,6 @@ class TestBackoffCap:
         assert not capped and delay < 8.0
         delay, capped = backoff_wave(100.0, 6, [1, 2], cap=8.0)
         assert capped and delay == 8.0
-
-    def test_backoff_delay_wrapper_matches_wave(self):
-        assert backoff_delay(0.25, 3, [0, 4]) == backoff_wave(
-            0.25, 3, [0, 4]
-        )[0]
 
     def test_capped_waves_surface_in_campaign_stats(self, monkeypatch):
         from repro.runner import core

@@ -71,6 +71,7 @@ class TestModuloSchedule:
         greedy = schedule_loop(fig7_workload.graph, m)
         assert rate == pytest.approx(3.0)
         assert greedy.steady_cycles_per_iteration() == pytest.approx(rate)
+        assert rate_lower_bound(fig7_workload.graph, m) == 2.5
 
     def test_node_limit(self, livermore_workload):
         with pytest.raises(SchedulingError, match="limit"):

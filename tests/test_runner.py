@@ -19,7 +19,7 @@ from repro.runner import (
     Cell,
     DiskCache,
     TieredCache,
-    backoff_delay,
+    backoff_wave,
     execute_cell,
     parse_shard,
     run_campaign,
@@ -422,20 +422,20 @@ class TestObservability:
 # ----------------------------------------------------------------------
 class TestRetryBackoff:
     def test_backoff_delay_is_deterministic(self):
-        a = backoff_delay(0.25, 2, [1, 4, 7])
-        assert a == backoff_delay(0.25, 2, [1, 4, 7])
+        a = backoff_wave(0.25, 2, [1, 4, 7])[0]
+        assert a == backoff_wave(0.25, 2, [1, 4, 7])[0]
         # pending set and attempt number both feed the jitter
-        assert a != backoff_delay(0.25, 2, [1, 4, 8])
-        assert a != backoff_delay(0.25, 3, [1, 4, 7])
+        assert a != backoff_wave(0.25, 2, [1, 4, 8])[0]
+        assert a != backoff_wave(0.25, 3, [1, 4, 7])[0]
 
     def test_backoff_grows_exponentially_with_jitter(self):
         for attempt in (2, 3, 4):
             nominal = 0.2 * 2 ** (attempt - 2)
-            d = backoff_delay(0.2, attempt, [0])
+            d = backoff_wave(0.2, attempt, [0])[0]
             assert 0.5 * nominal <= d < 1.5 * nominal
 
     def test_backoff_capped(self):
-        assert backoff_delay(100.0, 6, [0], cap=8.0) == 8.0
+        assert backoff_wave(100.0, 6, [0], cap=8.0)[0] == 8.0
 
     def test_retry_waves_sleep_and_record(self, monkeypatch):
         import repro.runner.core as core
@@ -452,8 +452,8 @@ class TestRetryBackoff:
         assert len(slept) == 2
         assert list(r.backoffs) == slept
         assert slept == [
-            backoff_delay(0.25, 2, [0]),
-            backoff_delay(0.25, 3, [0]),
+            backoff_wave(0.25, 2, [0])[0],
+            backoff_wave(0.25, 3, [0])[0],
         ]
         assert r.to_dict()["stats"]["retry_backoffs"] == [
             round(b, 6) for b in slept

@@ -15,6 +15,8 @@ asymptotically less detection work.  These tests pin that bar:
   loops; and on Table 1 seed 13, the loop with the longest detection;
 * cross-sweep memoization: canonical-graph hits across node renames,
   disk-tier sharing, and bit-identity of remapped results;
+* paper §2.2's cost claims: fewer than 10 unrollings on the paper's
+  examples, and detection work linear in the instances scheduled;
 * bounded detection state: eviction fires under a tiny retention floor
   and the scheduler still emits a valid pattern of the same rate.
 """
@@ -39,13 +41,22 @@ from repro.core.cyclic import (
 )
 from repro.core.cyclic_reference import schedule_cyclic_reference
 from repro.core.patterns import configuration_key
+from repro.core.scheduler import schedule_loop
 from repro.errors import PatternNotFoundError, SchedulingError
 from repro.fuzz.corpus import load_corpus
 from repro.fuzz.generators import PATTERN_NAMES, generate_case
+from repro.graph.algorithms import connected_components
 from repro.graph.ddg import DependenceGraph
 from repro.machine.comm import UniformComm
 from repro.machine.model import Machine
-from repro.workloads import random_cyclic_loop
+from repro.workloads import (
+    cytron86,
+    elliptic_filter,
+    fig3,
+    fig7,
+    livermore18,
+    random_cyclic_loop,
+)
 from tests.conftest import fuzz_cases
 
 
@@ -347,6 +358,42 @@ def test_table1_seed13_instance_budget():
 
 
 # ----------------------------------------------------------------------
+# scheduler-cost claims of paper §2.2
+# ----------------------------------------------------------------------
+def test_unrollings_small_on_paper_examples():
+    """Paper §2.2: "M is typically very small, less than 10 in all the
+    examples we ran", M being the loop unrollings before a pattern is
+    detected."""
+    unrollings = {}
+    for w in (fig3(), fig7(), cytron86(), livermore18(), elliptic_filter()):
+        s = schedule_loop(w.graph, w.machine)
+        unrollings[w.name] = s.stats.unrollings
+    assert all(m <= 10 for m in unrollings.values()), unrollings
+
+
+def test_detection_work_stays_linear():
+    """Pattern-detection work approaches O(N) per scheduled instance once
+    the schedule stabilizes.  The detection work is the rows rolled into
+    the configuration digests; the optimized scheduler hashes no whole
+    windows (``windows_hashed`` is 0), so that counter would bound
+    nothing."""
+    points = []
+    for seed in (2, 4, 9, 11, 13):
+        w = random_cyclic_loop(seed)
+        for comp in connected_components(w.graph):
+            sub = w.graph.subgraph(comp)
+            if len(sub) < 2:
+                continue
+            r = schedule_cyclic(sub, w.machine)
+            points.append((r.stats.instances_scheduled, r.stats.rows_rolled))
+    assert len(points) == 7
+    for instances, rows in points:
+        # each scheduled instance contributes O(latency) new stable
+        # cycles, hence O(1) new rows: allow a small constant factor
+        assert rows <= 12 * instances + 200
+
+
+# ----------------------------------------------------------------------
 # cross-sweep memoization
 # ----------------------------------------------------------------------
 def _ring(name: str, names: tuple[str, ...], k: int = 1) -> DependenceGraph:
@@ -497,7 +544,6 @@ class TestBoundedDetectionState:
 # counters through the pipeline and the profile CLI
 # ----------------------------------------------------------------------
 def test_pipeline_report_carries_scheduler_counters(fig7_workload):
-    from repro.core.scheduler import schedule_loop
     from repro.pipeline.manager import collect_reports
     from repro.pipeline.report import aggregate_reports
 
