@@ -24,7 +24,6 @@ by side (:class:`CombinedLoop`).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from repro._types import Op, decode_rows
@@ -168,18 +167,33 @@ class ScheduledLoop(LoopScheduleLike):
     def _folded_instances(self, iterations: int) -> list[list[int]]:
         """Merge non-Cyclic ops into the chosen Cyclic processor.
 
-        A global priority-Kahn pass over the instance DAG plus the
-        fixed Cyclic per-processor chains yields per-processor orders
-        that are guaranteed deadlock-free (the emission order itself is
-        a consistent global history).  Priorities steer non-Cyclic ops
-        toward their deadlines but do not affect correctness.
+        Every instance is emitted in priority order, ties going to the
+        smaller ``x``: the earlier iteration, then the earlier node.
+        The priorities (:meth:`_fold_priorities`) rise strictly along
+        every instance dependence and every Cyclic row, so that order
+        is a consistent global history and the per-processor orders it
+        yields are deadlock-free; it is the order a priority-Kahn pass
+        over those edges would pop.
+        """
+        cyclic_rows, prio, proc_of = self._fold_priorities(iterations)
+        out: list[list[int]] = [[] for _ in cyclic_rows]
+        for x in sorted(range(len(prio)), key=prio.__getitem__):
+            out[proc_of[x]].append(x)
+        return out
+
+    def _fold_priorities(
+        self, iterations: int
+    ) -> tuple[list[list[int]], list[float], list[int]]:
+        """``(cyclic_rows, prio, proc_of)`` over all ``iterations * n``
+        instances ``x = it * n + v`` of this loop's graph.
 
         The Cyclic processors' rows (compact numbering) keep their
         pattern order, and their nominal pattern starts are the
-        priorities; row ``fold_proc`` takes the non-Cyclic ops.  All
-        ``iterations * n`` instances ``x = it * n + v`` of this loop's
-        graph take part, and ties in priority go to the smaller ``x``:
-        the earlier iteration, then the earlier node.
+        priorities, rising strictly along each row and each Cyclic
+        dependence.  Row ``fold_proc`` takes the non-Cyclic ops: a
+        Flow-in op sits 0.5 below its earliest Flow-in or Cyclic
+        consumer, a Flow-out op 0.5 after its latest producer ends.
+        Priorities steer non-Cyclic ops toward their deadlines.
         """
         c, graph = self.classification, self.graph
         assert self.pattern is not None and self.plan is not None
@@ -193,9 +207,6 @@ class ScheduledLoop(LoopScheduleLike):
         cyclic_rows = [rows[j] for j in used]
         fold_proc = used.index(self.plan.fold_into)
 
-        # priorities: cyclic ops keep their expanded nominal start;
-        # flow-in ops aim just before their earliest consumer; flow-out
-        # ops just after their latest producer.
         rate = pattern.cycles_per_iteration()
         prio = [0.0] * total
         proc_of = [fold_proc] * total
@@ -235,36 +246,7 @@ class ScheduledLoop(LoopScheduleLike):
                     if y >= 0
                 ]
                 prio[x] = (max(ready) + 0.5) if ready else it * rate
-
-        # Kahn over the instance dependences plus each cyclic row's
-        # chain, which keeps that row a fixed sequence
-        remaining = [0] * total
-        dependents: list[list[int]] = [[] for _ in range(total)]
-        for x in range(total):
-            for y in (x + off for off in preds[x % n]):
-                if y >= 0:
-                    remaining[x] += 1
-                    dependents[y].append(x)
-        for row in cyclic_rows:
-            for a, b in zip(row, row[1:]):
-                remaining[b] += 1
-                dependents[a].append(b)
-        heap = [(prio[x], x) for x in range(total) if not remaining[x]]
-        heapq.heapify(heap)
-        out: list[list[int]] = [[] for _ in cyclic_rows]
-        while heap:
-            _, x = heapq.heappop(heap)
-            out[proc_of[x]].append(x)
-            for dep in dependents[x]:
-                remaining[dep] -= 1
-                if not remaining[dep]:
-                    heapq.heappush(heap, (prio[dep], dep))
-        if sum(map(len, out)) != total:
-            raise SchedulingError(
-                "internal error: folded merge left "
-                f"{total - sum(map(len, out))} ops unordered"
-            )
-        return out
+        return cyclic_rows, prio, proc_of
 
     def describe(self) -> str:
         """Multi-line human summary of the scheduling decisions."""

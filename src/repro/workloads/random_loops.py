@@ -26,23 +26,23 @@ the defaults (``sd_span=6``, ``lcd_span=12``) the 25 Cyclic subgraphs
 average a handful of nodes to ~20, DOACROSS lands in the paper's range,
 and the paper's aggregate claims reproduce (see EXPERIMENTS.md).
 
-Our random number generator is numpy's PCG64, not whatever the authors
-used in 1990, so individual loops differ from theirs; the reproduced
-claim is Table 1's aggregate shape.  In the rare event a seed yields an
-empty Cyclic subset, additional backward lcds are drawn
+Our random number generator is numpy's PCG64 stream, reproduced bit
+for bit in pure Python (:class:`repro.util.pcg64.PCG64`), not whatever
+the authors used in 1990, so individual loops differ from theirs; the
+reproduced claim is Table 1's aggregate shape.  In the rare event a
+seed yields an empty Cyclic subset, additional backward lcds are drawn
 (deterministically, from a follow-on stream) until a recurrence exists
 — the paper's 25 loops all had one.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.classify import classify
 from repro.errors import ReproError
 from repro.graph.ddg import DependenceGraph
 from repro.machine.comm import FluctuatingComm
 from repro.machine.model import Machine
+from repro.util.pcg64 import PCG64
 from repro.workloads.base import Workload
 
 __all__ = [
@@ -94,22 +94,22 @@ def random_loop(
         raise ReproError(f"cannot place {sds} distinct sds on {nodes} nodes")
     if lcds > nodes * (min(lcd_span, nodes - 1) + 1):
         raise ReproError(f"cannot place {lcds} distinct lcds on {nodes} nodes")
-    rng = np.random.default_rng(seed)
+    rng = PCG64(seed)
     g = DependenceGraph(f"random{seed}")
     for i in range(nodes):
-        g.add_node(f"n{i}", int(rng.integers(1, max_latency + 1)))
+        g.add_node(f"n{i}", rng.integers(1, max_latency + 1))
     names = g.node_names()
 
     chosen_sd: set[tuple[int, int]] = set()
     while len(chosen_sd) < sds:
-        a = int(rng.integers(0, nodes - 1))
-        b = min(a + 1 + int(rng.integers(0, sd_span)), nodes - 1)
+        a = rng.integers(0, nodes - 1)
+        b = min(a + 1 + rng.integers(0, sd_span), nodes - 1)
         if a != b:
             chosen_sd.add((a, b))
     chosen_lcd: set[tuple[int, int]] = set()
     while len(chosen_lcd) < lcds:
-        u = int(rng.integers(0, nodes))
-        v = max(u - int(rng.integers(0, lcd_span + 1)), 0)
+        u = rng.integers(0, nodes)
+        v = max(u - rng.integers(0, lcd_span + 1), 0)
         chosen_lcd.add((u, v))
     for a, b in sorted(chosen_sd):
         g.add_edge(names[a], names[b], distance=0, comm=edge_comm)
@@ -150,7 +150,7 @@ def random_cyclic_loop(
     (worst-case by default, matching the paper's protocol).
     """
     g = random_loop(seed, **kwargs)
-    rng = np.random.default_rng([seed, 0xC4C11C])
+    rng = PCG64([seed, 0xC4C11C])
     names = g.node_names()
     guard = 0
     while True:
@@ -160,8 +160,8 @@ def random_cyclic_loop(
         guard += 1
         if guard > 200:  # pragma: no cover - defensive
             raise ReproError(f"seed {seed}: could not create a recurrence")
-        u = int(rng.integers(0, len(names)))
-        v = max(u - int(rng.integers(0, _LCD_SPAN + 1)), 0)
+        u = rng.integers(0, len(names))
+        v = max(u - rng.integers(0, _LCD_SPAN + 1), 0)
         try:
             g.add_edge(names[u], names[v], distance=1)
         except Exception:

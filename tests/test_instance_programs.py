@@ -14,6 +14,9 @@ with a position array.  These tests pin that path:
 * folded and normalized schedules' instance rows against the
   ``Op``-keyed folding merge and unwound-program mapping they
   replaced, frozen below too;
+* the folding's stable sort by priority against the integer
+  priority-Kahn merge it replaced, frozen below as well, on the corpus,
+  every fuzz family and the serve_stream workload's 96 programs;
 * nothing below the report asks the graph for an op's instance
   dependences: the engine, codegen, folding and normalization read
   the lowered program;
@@ -62,16 +65,22 @@ from repro.errors import (
 from repro.core.scheduler import CombinedLoop
 from repro.experiments import measure
 from repro.fuzz.corpus import load_corpus
-from repro.fuzz.generators import generate_case
+from repro.fuzz.generators import PATTERN_NAMES, generate_case
 from repro.fuzz.oracles import compile_case
 from repro.graph.ddg import DependenceGraph
 from repro.machine.comm import UniformComm, ZeroComm
 from repro.machine.model import Machine
-from repro.pipeline import compile_graph
+from repro.pipeline import CompilationContext, build_pipeline, compile_graph
 from repro.pipeline.cache import CacheEntry
 from repro.runner.diskcache import DiskCache
 from repro.sim.engine import ExecutionTrace, simulate
-from repro.sim.fastpath import LoweredProgram, evaluate, evaluate_trace, lower
+from repro.sim.fastpath import (
+    LoweredProgram,
+    evaluate,
+    evaluate_trace,
+    lower,
+    pred_offsets,
+)
 from repro.workloads import fig7, livermore18, random_cyclic_loop
 from tests.test_lowering import (
     _comms,
@@ -323,12 +332,17 @@ def _ref_program(scheduled, iterations):
     return scheduled.program(iterations)  # unchanged: decoded rows
 
 
-def _folds(scheduled):
+def _folding_parts(scheduled):
     inner = getattr(scheduled, "inner", scheduled)
-    return any(
-        part.plan is not None and part.plan.fold_into is not None
+    return [
+        part
         for part in getattr(inner, "parts", [inner])
-    )
+        if part.plan is not None and part.plan.fold_into is not None
+    ]
+
+
+def _folds(scheduled):
+    return bool(_folding_parts(scheduled))
 
 
 def _corpus_schedules():
@@ -448,6 +462,123 @@ def test_folded_rows_over_a_combined_graph_renumber_each_part():
     s = compile_graph(g, w.machine, folding="always", cache=None).scheduled
     assert isinstance(s, CombinedLoop) and all(map(_folds, s.parts))
     _assert_rows_match("twice", s, 5)
+
+
+# ----------------------------------------------------------------------
+# the priority-Kahn merge that the folding's stable sort replaced
+# ----------------------------------------------------------------------
+def _heap_folded_instances(loop, iterations):
+    """``loop``'s folded rows by a priority-Kahn pass over the instance
+    dependences plus each Cyclic row's chain, smallest ``(prio, x)``
+    first."""
+    cyclic_rows, prio, proc_of = loop._fold_priorities(iterations)
+    total, n = len(prio), len(loop.graph)
+    preds = [[off for off, _e in e] for e in pred_offsets(loop.graph)]
+    remaining = [0] * total
+    dependents = [[] for _ in range(total)]
+    for x in range(total):
+        for y in (x + off for off in preds[x % n]):
+            if y >= 0:
+                remaining[x] += 1
+                dependents[y].append(x)
+    for row in cyclic_rows:
+        for a, b in zip(row, row[1:]):
+            remaining[b] += 1
+            dependents[a].append(b)
+    heap = [(prio[x], x) for x in range(total) if not remaining[x]]
+    heapq.heapify(heap)
+    out = [[] for _ in cyclic_rows]
+    while heap:
+        _, x = heapq.heappop(heap)
+        out[proc_of[x]].append(x)
+        for dep in dependents[x]:
+            remaining[dep] -= 1
+            if not remaining[dep]:
+                heapq.heappush(heap, (prio[dep], dep))
+    assert sum(map(len, out)) == total
+    return out
+
+
+def _assert_sort_equals_heap(name, scheduled, iterations=(1, 2, 7, 20)):
+    for part in _folding_parts(scheduled):
+        for it in iterations:
+            assert part._folded_instances(it) == _heap_folded_instances(
+                part, it
+            ), (name, it)
+
+
+def test_folded_sort_equals_the_heap_merge_on_corpus_and_normalized():
+    subjects = [*_corpus_schedules(), *_normalized_schedules()]
+    for name, scheduled in subjects:
+        _assert_sort_equals_heap(name, scheduled)
+
+
+def test_folded_sort_equals_the_heap_merge_on_every_fuzz_family():
+    folded = Counter()
+    for pattern in PATTERN_NAMES:
+        for seed in range(40):
+            case = generate_case(pattern, seed)
+            always = compile_graph(
+                case.graph, case.machine(), folding="always", cache=None
+            ).scheduled
+            for scheduled in (compile_case(case), always):
+                folded[pattern] += bool(_folding_parts(scheduled))
+                _assert_sort_equals_heap(case.graph.name, scheduled)
+    # the other four families' loops are all Cyclic: nothing to fold
+    assert {p for p in PATTERN_NAMES if folded[p] >= 10} == {
+        "mesh", "self_dep", "multi_statement", "conditional"
+    }, folded
+
+
+def _serve_stream_schedules():
+    """The 96 programs of perfbench's serve_stream workload at seed 0,
+    compiled as the daemon compiles a source request."""
+    from repro.workloads import (
+        ADAPTIVE_SOURCE,
+        ELLIPTIC_SOURCE,
+        FIG7_SOURCE,
+        LIVERMORE18_SOURCE,
+    )
+
+    sources = (FIG7_SOURCE, LIVERMORE18_SOURCE, ELLIPTIC_SOURCE,
+               ADAPTIVE_SOURCE)
+    programs = [(source, 4, 2) for source in sources]
+    i = 0
+    while len(programs) < 96:
+        case = generate_case(("multi_statement", "conditional")[i % 2], i)
+        program = (case.source, case.processors, int(case.comm["k"]))
+        i += 1
+        if program not in programs:
+            programs.append(program)
+    for source, processors, k in programs:
+        ctx = CompilationContext.from_source(
+            source, Machine(processors, UniformComm(k))
+        )
+        build_pipeline(source=True, normalize=True, cache=None).run(ctx)
+        yield source, ctx.scheduled
+
+
+def test_folded_sort_equals_the_heap_merge_on_the_serve_stream_programs():
+    folding = [(src, s) for src, s in _serve_stream_schedules()
+               if _folding_parts(s)]
+    assert len(folding) >= 30  # 42 of the 96 fold
+    for source, scheduled in folding:
+        _assert_sort_equals_heap(source, scheduled, iterations=(1, 100))
+
+
+_FOLDING = [
+    scheduled
+    for _, scheduled in _normalized_schedules()
+    if _folding_parts(scheduled)
+]
+
+
+@given(
+    subject=st.sampled_from(_FOLDING),
+    iterations=st.integers(min_value=0, max_value=80),
+)
+def test_folded_sort_equals_the_heap_merge_property(subject, iterations):
+    _assert_sort_equals_heap("property", subject, iterations=(iterations,))
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,10 @@
 """Package surface: exports, errors, elementary types."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -96,3 +101,30 @@ class TestPublicSurface:
                 obj = getattr(mod, name)
                 if callable(obj):
                     assert obj.__doc__, f"{info.name}.{name} undocumented"
+
+
+class TestDependencies:
+    ROOT = Path(__file__).resolve().parent.parent
+
+    def test_importing_every_module_leaves_numpy_unloaded(self):
+        """Every module, imported as perfbench's probe imports them, in a
+        fresh interpreter: the program needs no third-party package."""
+        script = (
+            "import importlib, pkgutil, sys, repro\n"
+            "for info in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+            "    if not info.name.endswith('__main__'):\n"
+            "        importlib.import_module(info.name)\n"
+            "print(len([m for m in sys.modules if m.startswith('repro.')]))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(self.ROOT / "src"))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        ).stdout.split("\n")
+        assert int(out[0]) > 50
+        assert out[1] == "[]"
+
+    def test_pyproject_lists_no_runtime_dependency(self):
+        text = (self.ROOT / "pyproject.toml").read_text()
+        assert "dependencies" not in text
